@@ -1,10 +1,11 @@
 package prefillonly
 
 // One benchmark per table and figure of the paper's evaluation, plus
-// ablation benches for the design choices DESIGN.md calls out. Each bench
-// regenerates its artifact through internal/experiments and prints the
-// rows once, so `go test -bench=. -benchmem` reproduces the entire
-// evaluation and EXPERIMENTS.md can be checked against the output.
+// ablation benches for the design choices README.md's Architecture section
+// describes. Each bench regenerates its artifact through
+// internal/experiments and prints the rows once, so
+// `go test -bench=. -benchmem` reproduces the entire evaluation and its
+// rows can be checked against the paper's tables and figures.
 
 import (
 	"fmt"
@@ -281,7 +282,7 @@ func BenchmarkSection63JCTProxyCorrelation(b *testing.B) {
 	}
 }
 
-// --- Ablations beyond the paper's figures (design choices from DESIGN.md) ---
+// --- Ablations beyond the paper's figures (design choices in README.md) ---
 
 // BenchmarkAblationCalibrationOnOff isolates the scheduler: PrefillOnly
 // with continuous calibration vs frozen-at-arrival SRJF vs FCFS, same

@@ -157,10 +157,11 @@ func New(cfg engine.Config, opts Options) (*Engine, error) {
 	if opts.DisableCalibration {
 		scheduler = sched.NewSRJF(jctNow)
 	} else {
-		// Incremental Algorithm 1: index waiting requests by their prefix
-		// hash chains and rekey only those whose chains overlap a cache
-		// membership change, instead of re-pricing the whole queue every
-		// dispatch.
+		// Incremental Algorithm 1: index waiting requests by their cache
+		// frontier and rekey only those whose cached prefix a membership
+		// change moves, instead of re-pricing the whole queue every
+		// dispatch. jctNow reads the cache only through the cached-prefix
+		// length, as SetHashChain requires.
 		cal := sched.NewCalibrated(jctNow, opts.lambda())
 		if len(opts.ClassWeights) > 0 {
 			cal.SetClassWeights(opts.ClassWeights)

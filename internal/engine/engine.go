@@ -31,7 +31,9 @@ type Record struct {
 	CachedTokens int
 	// SpilledBytes is KV cache the engine had to stream over the host
 	// link because the request did not fit in device memory (the
-	// beyond-MIL fallback; see DESIGN.md §5).
+	// beyond-MIL fallback: activation working set past the profiled
+	// length, and fresh KV the pool cannot hold, stream over the host
+	// link instead of failing the request).
 	SpilledBytes int64
 	// RestoredTokens is the prefix length loaded back from the host
 	// offload tier (§9 extension) instead of recomputed.
@@ -131,14 +133,19 @@ func HashesOf(r *sched.Request, blockTokens int) []uint64 {
 
 // AttachIncremental switches a Calibrated scheduler into incremental mode
 // against the cache its JCT function consults: waiting requests are
-// indexed by their (memoized) prefix hash chains at the cache's block
-// size, and the cache's membership-change feed rekeys only the affected
-// entries. Wiring both halves here makes it impossible to index requests
-// without also subscribing to the events that keep their keys fresh.
-// Call it before any request is enqueued.
+// indexed by the frontier of their (memoized) prefix hash chains at the
+// cache's block size, and the cache's membership-change feed rekeys only
+// the requests whose frontier a change crossed. Wiring both halves here
+// makes it impossible to index requests without also subscribing to the
+// events that keep their keys fresh. The JCT function must depend on the
+// cache only through the request's cached-prefix length (see
+// sched.Calibrated.SetHashChain). Call it before any request is enqueued.
 func AttachIncremental(c *sched.Calibrated, m *kvcache.Manager) {
 	bt := m.BlockTokens()
-	c.SetHashChain(func(r *sched.Request) []uint64 { return HashesOf(r, bt) })
+	c.SetHashChain(
+		func(r *sched.Request) []uint64 { return HashesOf(r, bt) },
+		func(h []uint64) int { return m.PeekH(h) / bt },
+	)
 	m.Subscribe(func(ev kvcache.ChangeEvent) { c.OnCacheChange(ev.Inserted, ev.Evicted) })
 }
 

@@ -156,7 +156,7 @@ func TestFigure10Shape(t *testing.T) {
 	}
 	// Paper: full hybrid ≈ 7.9x vanilla vLLM. Our allocator model is
 	// exact (no PyTorch fragmentation or framework buffers), so the gain
-	// lands higher; EXPERIMENTS.md records the deviation.
+	// lands higher than the paper's.
 	ratio := float64(rows[4].MIL) / float64(rows[0].MIL)
 	if ratio < 4 || ratio > 25 {
 		t.Errorf("hybrid/vanilla MIL ratio = %.1f, want >>1 (paper 7.9)", ratio)

@@ -187,7 +187,8 @@ func Figure5() ([]Figure5Result, error) {
 	out = append(out, srjf)
 	cal, err := run("SRJF+calibration", func(c *kvcache.Manager) sched.Scheduler {
 		s := sched.NewCalibrated(jctOf(c), 0)
-		// Incremental mode: rekey only on cache membership changes.
+		// Incremental mode: rekey only on cache membership changes
+		// (jctOf reads the cache only through the cached-prefix length).
 		engine.AttachIncremental(s, c)
 		return s
 	})

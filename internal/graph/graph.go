@@ -16,8 +16,8 @@
 //     only at chunk granularity. KV cache is kept for a single layer at a
 //     time, enabling suffix discarding.
 //
-// The executor both estimates wall-clock time (a FLOPs/bandwidth model, see
-// DESIGN.md §3) and replays the pass against a memory.Allocator so that peak
+// The executor both estimates wall-clock time (a FLOPs/bandwidth model with
+// per-kernel launch overheads, see time.go) and replays the pass against a memory.Allocator so that peak
 // footprint and Figure-3 style traces are produced by the same allocation
 // sequence a real engine would perform.
 package graph

@@ -5,7 +5,8 @@
 // A GPU is described by its memory capacity, dense-math throughput, memory
 // bandwidth, and the bandwidth of the links that connect it to peers (PCIe
 // or NVLink) and to the host. The paper's latency/throughput results are a
-// function of exactly these quantities; see DESIGN.md §3 for the time model.
+// function of exactly these quantities; internal/graph's EstimateSeconds
+// turns them into pass times.
 package hw
 
 import "fmt"

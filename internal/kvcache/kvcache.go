@@ -9,7 +9,10 @@
 // it (no dangling prefixes).
 package kvcache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Stats counts cache activity since construction.
 type Stats struct {
@@ -76,9 +79,9 @@ type ChangeEvent struct {
 }
 
 // Subscribe registers fn to run after every operation that changes cache
-// membership (Insert/InsertH, Reserve, EvictAll), with the block hashes
-// that changed. Schedulers use the feed to rekey only the waiting
-// requests whose prefix hash chains overlap a changed block instead of
+// membership (Insert/InsertH, Reserve, EvictAll, LoseAll), with the block
+// hashes that changed. Schedulers use the feed to rekey only the waiting
+// requests whose cached prefix a changed block could move instead of
 // rescanning the queue. fn runs synchronously on the engine's event
 // thread; it may read the Manager but must not mutate it.
 func (m *Manager) Subscribe(fn func(ChangeEvent)) {
@@ -159,7 +162,12 @@ func (m *Manager) CapacityTokens() int {
 // i-1's hash. Only full blocks participate in prefix caching (partial tail
 // blocks are never shared), matching vLLM. The hash is deterministic, so
 // chains computed once per request are valid for every Manager with the
-// same block size.
+// same block size. 0 is reserved as "no parent" and never returned.
+//
+// Each token costs one mix round and each block one finalizer. Nothing
+// in the simulator orders by hash value (caches, routers and schedulers
+// only test membership), so the hash function can change without moving
+// any modelled result.
 func BlockHashes(tokens []uint64, blockTokens int) []uint64 {
 	if blockTokens <= 0 {
 		panic("kvcache: blockTokens must be positive")
@@ -167,12 +175,12 @@ func BlockHashes(tokens []uint64, blockTokens int) []uint64 {
 	n := len(tokens) / blockTokens
 	hashes := make([]uint64, n)
 	var parent uint64
-	for i := 0; i < n; i++ {
-		h := parent ^ 0xcbf29ce484222325 // FNV offset basis
+	for i := range hashes {
+		h := parent ^ hashSeed
 		for _, tok := range tokens[i*blockTokens : (i+1)*blockTokens] {
 			h = mix(h, tok)
 		}
-		// Reserve 0 as "no parent".
+		h = fmix64(h)
 		if h == 0 {
 			h = 1
 		}
@@ -182,16 +190,30 @@ func BlockHashes(tokens []uint64, blockTokens int) []uint64 {
 	return hashes
 }
 
-// mix folds one token into a chained hash (FNV-1a over the 8 bytes,
-// followed by an avalanche step).
+// xxHash64 primes; hashSeed keeps a root block's state away from 0.
+const (
+	prime1   = 0x9e3779b185ebca87
+	prime2   = 0xc2b2ae3d27d4eb4f
+	hashSeed = 0x27d4eb2f165667c5
+)
+
+// mix folds one 64-bit token into a block's running hash with an
+// xxHash64-style round: one multiply off the dependency chain, then
+// xor, rotate and multiply. With the other input fixed, a round is a
+// bijection of h and of tok, and fmix64 is a bijection too, so two blocks
+// that differ in a single token, or only in their parent, always hash
+// apart (up to the 0→1 remap).
 func mix(h, tok uint64) uint64 {
-	const prime = 0x100000001b3
-	for i := 0; i < 8; i++ {
-		h ^= tok >> (8 * i) & 0xff
-		h *= prime
-	}
+	return bits.RotateLeft64(h^tok*prime2, 31) * prime1
+}
+
+// fmix64 is MurmurHash3's 64-bit finalizer, run once per block so every
+// input bit avalanches into the chained hash.
+func fmix64(h uint64) uint64 {
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
 	h ^= h >> 33
 	return h
 }

@@ -66,14 +66,21 @@ func (s *SRJF) Next(now float64) *Request {
 // instant. w is the per-class SLO weight (default 1 for every class, the
 // class-blind paper policy): a class with weight w pays w seconds of
 // effective JCT per real second, so batch work with w > 1 yields to
-// interactive work whenever their weighted costs cross. The weight scales
-// only the jct term — it is fixed per class at SetClassWeights time, so
-// the key stays time-invariant and the incremental-rekey invariant below
-// is unchanged. jct depends on the prefix cache, so keys change only when cache
-// contents change: wire SetHashChain and feed the cache's membership
-// changes to OnCacheChange (kvcache.Manager.Subscribe), and only requests
-// whose hash chains overlap a changed block are rekeyed — O(log n) per
-// dispatch plus O(affected) rekeys, instead of O(queue × blocks). Without
+// interactive work whenever their weighted costs cross. The weight is
+// fixed per class at SetClassWeights time, so the key stays
+// time-invariant.
+//
+// Keys go stale only when the cache changes, and only through a
+// request's cached-prefix length k (the SetHashChain contract). Wire
+// SetHashChain and feed the cache's membership changes to OnCacheChange
+// (kvcache.Manager.Subscribe), and each waiting request is indexed under
+// its frontier: hashes[k], whose insertion is the only way k can grow,
+// and hashes[k-1], whose eviction is the only way k can shrink. That
+// holds because a chain's cached blocks always form a prefix of it: the
+// cache inserts a block only after its parent, and evicts only blocks no
+// cached block chains onto. So an enqueue or dispatch touches at most two
+// index slots, and a cache change rekeys just the requests whose frontier
+// it crossed — O(log n) per dispatch plus O(affected) rekeys. Without
 // that wiring, Calibrated remains correct by recomputing every key before
 // each decision (the reference sweep's cost).
 //
@@ -83,9 +90,9 @@ func (s *SRJF) Next(now float64) *Request {
 type Calibrated struct {
 	jct JCTFunc
 	// lambda is the fairness parameter, in milliseconds of JCT credit
-	// per second of queueing (see DESIGN.md §5 for the unit convention;
-	// the paper's default is 500). It is fixed at construction because it
-	// is baked into each waiting request's key.
+	// per second of queueing (the paper's default is 500, so one second
+	// of waiting offsets 0.5 s of estimated JCT). It is fixed at
+	// construction because it is baked into each waiting request's key.
 	lambda float64
 
 	// weights holds the per-class JCT multipliers; all 1 (class-blind)
@@ -94,9 +101,24 @@ type Calibrated struct {
 	weights [NumClasses]float64
 
 	chain  func(*Request) []uint64
+	cached func([]uint64) int
 	h      entryHeap
 	seq    uint64
-	byHash map[uint64]map[*entry]struct{}
+
+	// frontier maps a block hash to the waiting entries whose cached-
+	// prefix length a membership change of that block would move.
+	frontier map[uint64]*frontierLink
+	// affected is OnCacheChange's reusable collection buffer.
+	affected []*entry
+}
+
+// frontierLink is one registration of an entry in the frontier index: a
+// node of the intrusive list of entries indexed under hash. e is nil while
+// the link is not registered.
+type frontierLink struct {
+	e          *entry
+	hash       uint64
+	prev, next *frontierLink
 }
 
 // uniformWeights is the class-blind default: every class weighs 1.
@@ -137,7 +159,7 @@ func setClassWeights(dst *[NumClasses]float64, w map[Class]float64, waiting int)
 }
 
 // NewCalibrated returns the calibrated scheduler. jct is evaluated at
-// enqueue and whenever a cache change invalidates a request's key.
+// enqueue and whenever a cache change moves a request's cached prefix.
 func NewCalibrated(jct JCTFunc, lambda float64) *Calibrated {
 	if jct == nil {
 		panic("sched: Calibrated requires a JCT function")
@@ -158,16 +180,22 @@ func (c *Calibrated) Name() string {
 	return fmt.Sprintf("srjf-calibrated(λ=%g)", c.lambda)
 }
 
-// SetHashChain enables incremental rekeying: chain must return the block-
-// hash chain the JCT function's cache lookup walks (the same block size),
-// so waiting requests can be indexed by the blocks their JCT depends on.
-// It must be wired before any request is enqueued.
-func (c *Calibrated) SetHashChain(chain func(*Request) []uint64) {
+// SetHashChain enables incremental rekeying. chain returns the block-hash
+// chain the JCT function's cache lookup walks (the same block size), and
+// cached returns how many leading blocks of a chain the cache holds now.
+//
+// Contract: jct(r) may depend on the cache only through
+// cached(chain(r)), the request's cached-prefix length. A request whose
+// cached prefix did not move keeps its key without re-running jct, so a
+// JCT function that read any other cache state would go stale. It must
+// be wired before any request is enqueued.
+func (c *Calibrated) SetHashChain(chain func(*Request) []uint64, cached func([]uint64) int) {
 	if c.h.len() > 0 {
 		panic("sched: SetHashChain with requests already waiting")
 	}
 	c.chain = chain
-	c.byHash = make(map[uint64]map[*entry]struct{})
+	c.cached = cached
+	c.frontier = make(map[uint64]*frontierLink)
 }
 
 // Enqueue implements Scheduler.
@@ -176,16 +204,55 @@ func (c *Calibrated) Enqueue(r *Request) {
 	c.seq++
 	if c.chain != nil {
 		e.hashes = c.chain(r)
-		for _, h := range e.hashes {
-			set := c.byHash[h]
-			if set == nil {
-				set = make(map[*entry]struct{})
-				c.byHash[h] = set
-			}
-			set[e] = struct{}{}
-		}
+		e.cached = c.cached(e.hashes)
+		c.link(e)
 	}
 	c.h.push(e)
+}
+
+// link registers e under its frontier: the first uncached block of its
+// chain and the last cached one, when they exist.
+func (c *Calibrated) link(e *entry) {
+	if e.cached < len(e.hashes) {
+		c.push(&e.links[0], e, e.hashes[e.cached])
+	}
+	if e.cached > 0 {
+		c.push(&e.links[1], e, e.hashes[e.cached-1])
+	}
+}
+
+// unlink removes e's frontier registrations.
+func (c *Calibrated) unlink(e *entry) {
+	c.drop(&e.links[0])
+	c.drop(&e.links[1])
+}
+
+// push prepends l, a registration of e under hash, to hash's list.
+func (c *Calibrated) push(l *frontierLink, e *entry, hash uint64) {
+	l.e, l.hash, l.prev, l.next = e, hash, nil, c.frontier[hash]
+	if l.next != nil {
+		l.next.prev = l
+	}
+	c.frontier[hash] = l
+}
+
+// drop unlinks l from its hash's list, deleting the list once empty.
+func (c *Calibrated) drop(l *frontierLink) {
+	if l.e == nil {
+		return
+	}
+	switch {
+	case l.prev != nil:
+		l.prev.next = l.next
+	case l.next != nil:
+		c.frontier[l.hash] = l.next
+	default:
+		delete(c.frontier, l.hash)
+	}
+	if l.next != nil {
+		l.next.prev = l.prev
+	}
+	*l = frontierLink{}
 }
 
 // Len implements Scheduler.
@@ -223,13 +290,7 @@ func (c *Calibrated) Next(now float64) *Request {
 	if e == nil {
 		return nil
 	}
-	for _, h := range e.hashes {
-		set := c.byHash[h]
-		delete(set, e)
-		if len(set) == 0 {
-			delete(c.byHash, h)
-		}
-	}
+	c.unlink(e)
 	e.r.EstimatedSeconds = c.estimateOf(e)
 	return e.r
 }
@@ -241,34 +302,42 @@ func (c *Calibrated) estimateOf(e *entry) float64 {
 	return (e.key - c.lambda/1000*e.r.ArrivalTime) / classWeight(c.weights, e.r.Class)
 }
 
-// OnCacheChange rekeys the waiting requests whose hash chains include any
+// OnCacheChange rekeys the waiting requests whose frontier includes any
 // of the inserted or evicted blocks. Wire it to the owning cache's change
-// feed (kvcache.Manager.Subscribe); a request's JCT can only move when a
-// block of its own chain enters or leaves the cache.
+// feed (kvcache.Manager.Subscribe). Whatever else one cache operation
+// did, a request whose cached prefix moved from k blocks saw hashes[k]
+// inserted (k grew) or hashes[k-1] evicted (k shrank), so the requests
+// reached here are the only ones whose key can have changed.
 func (c *Calibrated) OnCacheChange(inserted, evicted []uint64) {
 	if c.chain == nil {
 		return
 	}
-	var affected map[*entry]struct{}
+	// Collect first: rekeying relinks entries in the lists being walked.
 	for _, hs := range [2][]uint64{inserted, evicted} {
 		for _, h := range hs {
-			//prefill:allow(simdeterminism): set union into `affected`; membership is order-insensitive
-			for e := range c.byHash[h] {
-				if affected == nil {
-					affected = make(map[*entry]struct{})
-				}
-				affected[e] = struct{}{}
+			for l := c.frontier[h]; l != nil; l = l.next {
+				c.affected = append(c.affected, l.e)
 			}
 		}
 	}
 	// Rekey order only permutes the heap's internal array; pop order is a
 	// strict total order on (key, len desc, seq), so dispatch stays
 	// byte-identical — pinned by the sweep-oracle property test.
-	//prefill:allow(simdeterminism): per-entry rekey+fix commutes; heap pop order is a strict total order
-	for e := range affected {
+	for i, e := range c.affected {
+		c.affected[i] = nil
+		k := c.cached(e.hashes)
+		if k == e.cached {
+			// Unmoved prefix, same key: a block that left and came back,
+			// or an entry collected through both links and rekeyed already.
+			continue
+		}
+		c.unlink(e)
+		e.cached = k
+		c.link(e)
 		e.key = c.key(e.r)
 		c.h.fix(e)
 	}
+	c.affected = c.affected[:0]
 }
 
 // --- reference sweep (equivalence oracle) ---

@@ -1,15 +1,18 @@
 package sched
 
 // entry is one waiting request inside a keyed scheduler: the request, its
-// ordering key, its enqueue sequence number (the final tie-breaker), and —
-// when the scheduler indexes requests by prefix hash chain — the chain it
-// was indexed under.
+// ordering key, its enqueue sequence number (the final tie-breaker) and,
+// when Calibrated indexes requests by cache frontier, its hash chain,
+// cached-prefix length and frontier registrations.
 type entry struct {
-	r      *Request
-	key    float64
-	seq    uint64
+	r   *Request
+	key float64
+	seq uint64
+	idx int // position in the heap; -1 once removed
+
 	hashes []uint64
-	idx    int // position in the heap; -1 once removed
+	cached int             // leading blocks of hashes cached at the last (re)key
+	links  [2]frontierLink // under hashes[cached] and hashes[cached-1]
 }
 
 // entryHeap is an indexed min-heap of entries ordered by key; ties prefer

@@ -262,7 +262,7 @@ func TestSetHashChainRejectsWaitingRequests(t *testing.T) {
 			t.Fatal("SetHashChain accepted with requests waiting")
 		}
 	}()
-	c.SetHashChain(func(r *Request) []uint64 { return nil })
+	c.SetHashChain(func(r *Request) []uint64 { return nil }, func([]uint64) int { return 0 })
 }
 
 func TestNilJCTPanics(t *testing.T) {

@@ -10,7 +10,8 @@ import (
 // Score produces the constrained output distribution for a prompt: a
 // softmax over pseudo-logits derived deterministically from the prompt
 // tokens and each allowed token. The engine's performance never depends on
-// logit values (see DESIGN.md §1), but applications need stable,
+// logit values (a prefill-only request's cost is its one forward pass,
+// whatever token it emits), but applications need stable,
 // prompt-sensitive scores — the same prompt always yields the same
 // P(Yes)/P(No), and the probabilities sum to 1 (§2.3).
 func Score(prompt []uint64, allowed []string) map[string]float64 {

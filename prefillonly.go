@@ -15,8 +15,8 @@
 //   - Catalogs: the paper's model and GPU presets (Models, GPUs) and
 //     workload generators (NewPostRecommendation, NewCreditVerification).
 //
-// See DESIGN.md for the architecture and EXPERIMENTS.md for the
-// paper-versus-measured record of every table and figure.
+// README.md describes the architecture layer by layer; the committed
+// BENCH_*.json files hold the measured sweep rows.
 package prefillonly
 
 import (
