@@ -13,12 +13,8 @@ package kvcache
 import "repro/internal/ringbuf"
 
 // hostEntry is one FIFO slot: the block hash plus the insertion sequence
-// number that makes it identifiable as stale. remove used to leave the
-// hash's queue entry behind, so a block that was removed and later
-// re-added was evicted at its original FIFO position — the re-insertion
-// was ignored — while stale entries (and the queue's `queue[1:]` slice
-// advance) accumulated backing-array garbage. Each membership now carries
-// a fresh seq: an entry is live only while it matches the map's current
+// number that makes it identifiable as stale. Each membership carries a
+// fresh seq: an entry is live only while it matches the table's current
 // seq for that hash, so a re-add refreshes the block's FIFO position and
 // orphaned entries are discarded when popped (plus compacted lazily).
 type hostEntry struct {
@@ -30,18 +26,14 @@ type hostTier struct {
 	capacity int64
 	used     int64
 	perBlock int64
-	blocks   map[uint64]uint64 // hash → seq of its live queue entry
+	blocks   BlockTable // hash → seq of its live queue entry
 	queue    ringbuf.Ring[hostEntry]
 	nextSeq  uint64
 	stale    int // queue entries no longer matching blocks
 }
 
 func newHostTier(capacity, perBlock int64) *hostTier {
-	return &hostTier{
-		capacity: capacity,
-		perBlock: perBlock,
-		blocks:   make(map[uint64]uint64),
-	}
+	return &hostTier{capacity: capacity, perBlock: perBlock}
 }
 
 // popOldest evicts the oldest live block, skipping stale entries. It
@@ -52,8 +44,8 @@ func (h *hostTier) popOldest() bool {
 		if !ok {
 			return false
 		}
-		if seq, live := h.blocks[e.hash]; live && seq == e.seq {
-			delete(h.blocks, e.hash)
+		if seq, live := h.blocks.Get(e.hash); live && seq == e.seq {
+			h.blocks.Delete(e.hash)
 			h.used -= h.perBlock
 			return true
 		}
@@ -62,7 +54,7 @@ func (h *hostTier) popOldest() bool {
 }
 
 func (h *hostTier) add(hash uint64) {
-	if _, ok := h.blocks[hash]; ok {
+	if h.blocks.Has(hash) {
 		// Already resident: FIFO semantics, no position refresh.
 		return
 	}
@@ -75,14 +67,13 @@ func (h *hostTier) add(hash uint64) {
 		return
 	}
 	h.nextSeq++
-	h.blocks[hash] = h.nextSeq
+	h.blocks.Set(hash, h.nextSeq)
 	h.queue.PushBack(hostEntry{hash: hash, seq: h.nextSeq})
 	h.used += h.perBlock
 }
 
 func (h *hostTier) remove(hash uint64) {
-	if _, ok := h.blocks[hash]; ok {
-		delete(h.blocks, hash)
+	if h.blocks.Delete(hash) {
 		h.used -= h.perBlock
 		h.stale++
 		h.compact()
@@ -102,7 +93,7 @@ func (h *hostTier) compact() {
 		if !ok {
 			break
 		}
-		if seq, live := h.blocks[e.hash]; live && seq == e.seq {
+		if seq, live := h.blocks.Get(e.hash); live && seq == e.seq {
 			q.PushBack(e)
 		}
 	}
@@ -111,22 +102,27 @@ func (h *hostTier) compact() {
 }
 
 // clear drops the whole tier (instance crash: host memory is lost with
-// the machine). The map and queue are replaced rather than drained so a
-// crashed tier releases its peak-size backing arrays.
+// the machine). The table and queue are replaced rather than drained so
+// a crashed tier releases its peak-size backing arrays.
 func (h *hostTier) clear() {
-	h.blocks = make(map[uint64]uint64)
+	h.blocks = BlockTable{}
 	h.queue = ringbuf.Ring[hostEntry]{}
 	h.used = 0
 	h.stale = 0
 }
 
 func (h *hostTier) contains(hash uint64) bool {
-	_, ok := h.blocks[hash]
-	return ok
+	return h.blocks.Has(hash)
 }
 
 // HostHitH returns how many tokens, contiguously following the first
 // skipBlocks blocks of the chain, are available in the host tier.
+//
+// Unlike PeekH it walks the chain block by block. The GPU tier's prefix
+// property comes from evicting only childless blocks; the host tier
+// evicts by FIFO age whether or not a block's descendants are still
+// resident, so nothing in its design keeps a chain's host-resident
+// blocks contiguous, and a binary search could skip over a gap.
 func (m *Manager) HostHitH(hashes []uint64, skipBlocks int) int {
 	if m.host == nil || skipBlocks >= len(hashes) {
 		return 0

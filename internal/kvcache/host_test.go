@@ -131,8 +131,8 @@ func TestHostTierQueueBoundedUnderChurn(t *testing.T) {
 		h.remove(hash)
 		h.add(hash)
 	}
-	if h.used != 64 || len(h.blocks) != 64 {
-		t.Fatalf("population drifted: used=%d blocks=%d", h.used, len(h.blocks))
+	if h.used != 64 || h.blocks.Len() != 64 {
+		t.Fatalf("population drifted: used=%d blocks=%d", h.used, h.blocks.Len())
 	}
 	// Live entries (64) plus at most the not-yet-compacted stale half.
 	if h.queue.Len() > 2*64+1 {

@@ -16,9 +16,10 @@ import (
 
 // Stats counts cache activity since construction.
 type Stats struct {
-	// LookupTokens is the total tokens presented to Lookup.
+	// LookupTokens is the full-block tokens presented to Lookup and Pin
+	// (len(hashes)·BlockTokens; a partial tail block is never counted).
 	LookupTokens int64
-	// HitTokens is the tokens Lookup found cached.
+	// HitTokens is the tokens Lookup and Pin found cached.
 	HitTokens int64
 	// InsertedBlocks counts blocks newly inserted.
 	InsertedBlocks int64
@@ -41,14 +42,57 @@ func (s Stats) HitRate() float64 {
 
 type block struct {
 	hash     uint64
-	parent   uint64
-	depth    int // 1-based chain position
-	children int // blocks that chain onto this one
-	pins     int
 	lastUsed float64
+	parent   int32 // arena slot of the parent block; -1 for a root block
+	slot     int32 // this block's arena slot
+	depth    int32 // 1-based chain position; 0 marks a free arena slot
+	children int32 // blocks that chain onto this one
+	// pins counts the pinned chains (PinH, or an InsertH in progress)
+	// whose deepest block this is. Their other blocks need no pin: a
+	// block with a cached child is never evictable.
+	pins int32
 
 	// heap index for the LRU heap; -1 when not evictable.
-	heapIdx int
+	heapIdx int32
+}
+
+// arenaChunk is the blocks per arena chunk.
+const arenaChunk = 256
+
+// blockArena stores the GPU tier's blocks in fixed-size chunks, so a
+// *block stays valid for the Manager's lifetime, and recycles evicted
+// blocks' slots through a free list instead of allocating per insert.
+type blockArena struct {
+	chunks []*[arenaChunk]block
+	free   []int32
+	n      int32 // slots handed out so far (live + free)
+}
+
+func (a *blockArena) at(slot int32) *block {
+	return &a.chunks[slot/arenaChunk][slot%arenaChunk]
+}
+
+// alloc returns a zeroed block whose slot field is set.
+func (a *blockArena) alloc() *block {
+	if n := len(a.free); n > 0 {
+		slot := a.free[n-1]
+		a.free = a.free[:n-1]
+		return a.at(slot)
+	}
+	if int(a.n)%arenaChunk == 0 {
+		a.chunks = append(a.chunks, new([arenaChunk]block))
+	}
+	b := a.at(a.n)
+	b.slot = a.n
+	a.n++
+	return b
+}
+
+// release zeroes b and returns its slot to the free list.
+func (a *blockArena) release(b *block) {
+	slot := b.slot
+	*b = block{slot: slot}
+	a.free = append(a.free, slot)
 }
 
 // Manager is a single simulated device's (or engine's) prefix cache.
@@ -60,10 +104,11 @@ type Manager struct {
 	used          int64
 	reserved      int64
 
-	blocks map[uint64]*block
-	lru    lruHeap
-	host   *hostTier // nil when offloading is disabled
-	stats  Stats
+	index BlockTable // block hash → arena slot
+	arena blockArena
+	lru   lruHeap
+	host  *hostTier // nil when offloading is disabled
+	stats Stats
 
 	subs    []func(ChangeEvent)
 	pending ChangeEvent
@@ -83,21 +128,24 @@ type ChangeEvent struct {
 // hashes that changed. Schedulers use the feed to rekey only the waiting
 // requests whose cached prefix a changed block could move instead of
 // rescanning the queue. fn runs synchronously on the engine's event
-// thread; it may read the Manager but must not mutate it.
+// thread; it may read the Manager but must not mutate it. The event's
+// slices are reused for the next operation's changes, so fn must not
+// retain them past its return.
 func (m *Manager) Subscribe(fn func(ChangeEvent)) {
 	m.subs = append(m.subs, fn)
 }
 
-// flushChanges delivers and clears the pending membership changes.
+// flushChanges delivers and clears the pending membership changes,
+// keeping the buffers for the next operation.
 func (m *Manager) flushChanges() {
 	if len(m.pending.Inserted) == 0 && len(m.pending.Evicted) == 0 {
 		return
 	}
-	ev := m.pending
-	m.pending = ChangeEvent{}
 	for _, fn := range m.subs {
-		fn(ev)
+		fn(m.pending)
 	}
+	m.pending.Inserted = m.pending.Inserted[:0]
+	m.pending.Evicted = m.pending.Evicted[:0]
 }
 
 // Config configures a Manager.
@@ -129,7 +177,6 @@ func New(cfg Config) (*Manager, error) {
 		blockTokens:   cfg.BlockTokens,
 		bytesPerBlock: cfg.BytesPerToken * int64(cfg.BlockTokens),
 		capacity:      cfg.CapacityBytes,
-		blocks:        make(map[uint64]*block),
 	}
 	if cfg.HostCapacityBytes > 0 {
 		m.host = newHostTier(cfg.HostCapacityBytes, m.bytesPerBlock)
@@ -222,6 +269,15 @@ func (m *Manager) blockHashes(tokens []uint64) []uint64 {
 	return BlockHashes(tokens, m.blockTokens)
 }
 
+// lookup returns the cached block with the given hash, or nil.
+func (m *Manager) lookup(hash uint64) *block {
+	slot, ok := m.index.Get(hash)
+	if !ok {
+		return nil
+	}
+	return m.arena.at(int32(slot))
+}
+
 // Lookup returns the number of leading tokens of the sequence that are
 // cached (whole blocks only) and refreshes their LRU timestamps.
 func (m *Manager) Lookup(tokens []uint64, now float64) int {
@@ -233,8 +289,8 @@ func (m *Manager) LookupH(hashes []uint64, now float64) int {
 	m.stats.LookupTokens += int64(len(hashes) * m.blockTokens)
 	hit := 0
 	for _, hash := range hashes {
-		b, ok := m.blocks[hash]
-		if !ok {
+		b := m.lookup(hash)
+		if b == nil {
 			break
 		}
 		b.lastUsed = now
@@ -254,16 +310,27 @@ func (m *Manager) Peek(tokens []uint64) int {
 	return m.PeekH(m.blockHashes(tokens))
 }
 
-// PeekH is Peek over a precomputed hash chain.
+// PeekH is Peek over a precomputed hash chain. hashes must be a root
+// chain from BlockHashes (or a prefix of one): the probe relies on the
+// chain's cached blocks forming a prefix of it.
+//
+// They always do. Block i+1 of a root chain hashes over block i's hash,
+// so it was inserted chained onto block i; insertion follows the chain
+// from its root and stops at the first block it cannot place, and
+// eviction takes only childless blocks. So membership along the chain is
+// true for blocks 0..k-1 and false after, and PeekH finds k by binary
+// search in O(log n) lookups instead of walking all k blocks.
 func (m *Manager) PeekH(hashes []uint64) int {
-	hit := 0
-	for _, hash := range hashes {
-		if _, ok := m.blocks[hash]; !ok {
-			break
+	lo, hi := 0, len(hashes)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if m.index.Has(hashes[mid]) {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
-		hit += m.blockTokens
 	}
-	return hit
+	return lo * m.blockTokens
 }
 
 // HasBlock reports whether the block with the given content hash is
@@ -271,8 +338,7 @@ func (m *Manager) PeekH(hashes []uint64) int {
 // cache contents with their own in-flight bookkeeping when estimating
 // per-instance hit lengths.
 func (m *Manager) HasBlock(hash uint64) bool {
-	_, ok := m.blocks[hash]
-	return ok
+	return m.index.Has(hash)
 }
 
 // Reserve claims bytes of pool space for a request's execution-time KV
@@ -316,25 +382,33 @@ func (m *Manager) Pin(tokens []uint64, now float64) (int, func()) {
 	return m.PinH(m.blockHashes(tokens), now)
 }
 
-// PinH is Pin over a precomputed hash chain. Like Lookup, it counts
-// toward the hit-rate statistics (engines pin instead of looking up).
+// PinH is Pin over a precomputed hash chain, which must be a root chain
+// from BlockHashes. Like Lookup, it counts toward the hit-rate
+// statistics (engines pin instead of looking up).
+//
+// Only the deepest hit block carries the pin: every block above it has a
+// cached child, so none of them is evictable while the pinned one stays.
+// Release is therefore a single unpin, whatever the chain's length.
 func (m *Manager) PinH(hashes []uint64, now float64) (int, func()) {
 	m.stats.LookupTokens += int64(len(hashes) * m.blockTokens)
-	var pinned []*block
-	hit := 0
+	var tip *block
 	for _, hash := range hashes {
-		b, ok := m.blocks[hash]
-		if !ok {
+		b := m.lookup(hash)
+		if b == nil {
 			break
 		}
-		b.pins++
-		if b.heapIdx >= 0 {
-			m.lru.remove(b)
-		}
+		mustChainOnto(b, tip)
 		b.lastUsed = now
-		pinned = append(pinned, b)
-		hit += m.blockTokens
+		tip = b
 	}
+	if tip == nil {
+		return 0, func() {}
+	}
+	if tip.heapIdx >= 0 {
+		m.lru.remove(tip)
+	}
+	tip.pins++
+	hit := int(tip.depth) * m.blockTokens
 	m.stats.HitTokens += int64(hit)
 	released := false
 	return hit, func() {
@@ -342,11 +416,28 @@ func (m *Manager) PinH(hashes []uint64, now float64) (int, func()) {
 			return
 		}
 		released = true
-		for _, b := range pinned {
-			b.pins--
-			m.maybeEvictable(b)
-		}
+		m.unpin(tip)
 	}
+}
+
+// mustChainOnto panics unless b was inserted chained onto parent (nil for
+// a chain's first block). A root chain's blocks always are, and pinning
+// only a chain's deepest block protects the rest only if they are.
+func mustChainOnto(b, parent *block) {
+	want := int32(-1)
+	if parent != nil {
+		want = parent.slot
+	}
+	if b.parent != want {
+		panic("kvcache: hash chain is not a root chain from BlockHashes")
+	}
+}
+
+// unpin drops one pin from b, which becomes evictable when it was the
+// last and b has no children.
+func (m *Manager) unpin(b *block) {
+	b.pins--
+	m.maybeEvictable(b)
 }
 
 // maybeEvictable inserts a block into the LRU heap when it has become
@@ -363,9 +454,10 @@ func (m *Manager) maybeEvictable(b *block) {
 // first block for which space cannot be reclaimed — this is suffix
 // discarding: the prefix stays, the suffix is dropped.
 //
-// The chain being inserted is pinned while the walk is in progress so that
-// reclaim can never evict a block that a subsequent block of the same
-// request is about to chain onto.
+// The deepest block placed so far is pinned while the walk is in
+// progress, so reclaim can never evict the block that the next block of
+// the same request is about to chain onto; the blocks above it are safe
+// because each has a cached child.
 func (m *Manager) Insert(tokens []uint64, limit int, now float64) int {
 	if limit > len(tokens) {
 		limit = len(tokens)
@@ -376,54 +468,53 @@ func (m *Manager) Insert(tokens []uint64, limit int, now float64) int {
 	return m.InsertH(m.blockHashes(tokens[:limit]), now)
 }
 
-// InsertH is Insert over a precomputed hash chain (all given blocks are
-// candidates; trim the chain to express a limit).
+// InsertH is Insert over a precomputed hash chain, which must be a root
+// chain from BlockHashes (all given blocks are candidates; trim the chain
+// to express a limit).
 func (m *Manager) InsertH(hashes []uint64, now float64) int {
 	defer m.flushChanges()
 	cached := 0
-	var parent *block
-	var path []*block
-	defer func() {
-		for _, b := range path {
-			b.pins--
-			m.maybeEvictable(b)
-		}
-	}()
+	var tip *block
 	for _, hash := range hashes {
-		if b, ok := m.blocks[hash]; ok {
-			b.lastUsed = now
-			b.pins++
+		b := m.lookup(hash)
+		if b != nil {
+			mustChainOnto(b, tip)
 			if b.heapIdx >= 0 {
 				m.lru.remove(b)
 			}
-			path = append(path, b)
-			cached += m.blockTokens
-			parent = b
-			continue
+		} else {
+			if !m.reclaim(m.bytesPerBlock) {
+				m.stats.RejectedBlocks++
+				break
+			}
+			if m.host != nil {
+				// The block now lives in the GPU tier; drop the host copy.
+				m.host.remove(hash)
+			}
+			b = m.arena.alloc()
+			b.hash, b.depth, b.heapIdx, b.parent = hash, 1, -1, -1
+			if tip != nil {
+				b.parent = tip.slot
+				b.depth = tip.depth + 1
+				tip.children++
+			}
+			m.index.Set(hash, uint64(b.slot))
+			m.used += m.bytesPerBlock
+			if len(m.subs) > 0 {
+				m.pending.Inserted = append(m.pending.Inserted, hash)
+			}
+			m.stats.InsertedBlocks++
 		}
-		if !m.reclaim(m.bytesPerBlock) {
-			m.stats.RejectedBlocks++
-			break
+		b.lastUsed = now
+		b.pins++
+		if tip != nil {
+			m.unpin(tip) // b chains onto it, so it stays unevictable
 		}
-		if m.host != nil {
-			// The block now lives in the GPU tier; drop the host copy.
-			m.host.remove(hash)
-		}
-		b := &block{hash: hash, depth: 1, lastUsed: now, heapIdx: -1, pins: 1}
-		if parent != nil {
-			b.parent = parent.hash
-			b.depth = parent.depth + 1
-			parent.children++
-		}
-		m.blocks[hash] = b
-		m.used += m.bytesPerBlock
-		if len(m.subs) > 0 {
-			m.pending.Inserted = append(m.pending.Inserted, hash)
-		}
-		path = append(path, b)
-		m.stats.InsertedBlocks++
+		tip = b
 		cached += m.blockTokens
-		parent = b
+	}
+	if tip != nil {
+		m.unpin(tip)
 	}
 	return cached
 }
@@ -441,27 +532,35 @@ func (m *Manager) reclaim(need int64) bool {
 	return true
 }
 
+// evict removes an evictable block, demoting it to the host tier when
+// one is configured.
 func (m *Manager) evict(b *block) {
-	delete(m.blocks, b.hash)
+	if m.host != nil {
+		m.host.add(b.hash)
+		m.stats.OffloadedBlocks++
+	}
+	m.drop(b)
+}
+
+// drop removes an evictable block from the GPU tier and recycles its
+// slot; its parent becomes evictable when this was its last child.
+func (m *Manager) drop(b *block) {
+	m.index.Delete(b.hash)
 	m.used -= m.bytesPerBlock
 	if len(m.subs) > 0 {
 		m.pending.Evicted = append(m.pending.Evicted, b.hash)
 	}
 	m.stats.EvictedBlocks++
-	if m.host != nil {
-		m.host.add(b.hash)
-		m.stats.OffloadedBlocks++
+	if b.parent >= 0 {
+		p := m.arena.at(b.parent)
+		p.children--
+		m.maybeEvictable(p)
 	}
-	if b.parent != 0 {
-		if p, ok := m.blocks[b.parent]; ok {
-			p.children--
-			m.maybeEvictable(p)
-		}
-	}
+	m.arena.release(b)
 }
 
-// EvictAll drops every unpinned block (used by tests and by engines on
-// reconfiguration).
+// EvictAll drops every block that is not on a pinned chain (used by tests
+// and by engines on reconfiguration).
 func (m *Manager) EvictAll() {
 	defer m.flushChanges()
 	for {
@@ -473,8 +572,8 @@ func (m *Manager) EvictAll() {
 	}
 }
 
-// LoseAll models an instance crash: every unpinned GPU-tier block is
-// destroyed (not demoted to the host tier, unlike eviction) and the host
+// LoseAll models an instance crash: every GPU-tier block not on a pinned
+// chain is destroyed (not demoted to the host tier, unlike eviction) and the host
 // tier itself is wiped — the machine is gone, both memories with it.
 // Callers must release all pins first (the engine's kill path aborts
 // in-flight work before losing the cache); any still-pinned chain
@@ -486,18 +585,7 @@ func (m *Manager) LoseAll() {
 		if b == nil {
 			break
 		}
-		delete(m.blocks, b.hash)
-		m.used -= m.bytesPerBlock
-		if len(m.subs) > 0 {
-			m.pending.Evicted = append(m.pending.Evicted, b.hash)
-		}
-		m.stats.EvictedBlocks++
-		if b.parent != 0 {
-			if p, ok := m.blocks[b.parent]; ok {
-				p.children--
-				m.maybeEvictable(p)
-			}
-		}
+		m.drop(b)
 	}
 	if m.host != nil {
 		m.host.clear()
@@ -505,33 +593,54 @@ func (m *Manager) LoseAll() {
 }
 
 // Len returns the number of cached blocks.
-func (m *Manager) Len() int { return len(m.blocks) }
+func (m *Manager) Len() int { return m.index.Len() }
 
 // CheckInvariants validates internal consistency; tests call it after
-// operation sequences.
+// operation sequences. It walks the block arena in slot order.
 func (m *Manager) CheckInvariants() error {
-	var used int64
-	children := make(map[uint64]int)
-	//prefill:allow(simdeterminism): test-only invariant sweep; accumulates commutative sums, never touches sim state
-	for _, b := range m.blocks {
-		used += m.bytesPerBlock
-		if b.parent != 0 {
-			if _, ok := m.blocks[b.parent]; !ok {
-				return fmt.Errorf("kvcache: block %x has dangling parent %x", b.hash, b.parent)
+	live := 0
+	children := make([]int32, m.arena.n)
+	for s := int32(0); s < m.arena.n; s++ {
+		b := m.arena.at(s)
+		if b.depth == 0 {
+			continue
+		}
+		live++
+		if slot, ok := m.index.Get(b.hash); !ok || int32(slot) != s {
+			return fmt.Errorf("kvcache: block %x in slot %d is not indexed there", b.hash, s)
+		}
+		if b.parent >= 0 {
+			p := m.arena.at(b.parent)
+			if p.depth == 0 {
+				return fmt.Errorf("kvcache: block %x has dangling parent slot %d", b.hash, b.parent)
+			}
+			if b.depth != p.depth+1 {
+				return fmt.Errorf("kvcache: block %x depth %d under parent %x of depth %d", b.hash, b.depth, p.hash, p.depth)
 			}
 			children[b.parent]++
+		} else if b.depth != 1 {
+			return fmt.Errorf("kvcache: root block %x has depth %d", b.hash, b.depth)
 		}
 	}
-	if used != m.used {
+	if live != m.index.Len() {
+		return fmt.Errorf("kvcache: %d live blocks but %d indexed", live, m.index.Len())
+	}
+	if live+len(m.arena.free) != int(m.arena.n) {
+		return fmt.Errorf("kvcache: %d live + %d free slots, arena holds %d", live, len(m.arena.free), m.arena.n)
+	}
+	if used := int64(live) * m.bytesPerBlock; used != m.used {
 		return fmt.Errorf("kvcache: used=%d but blocks sum to %d", m.used, used)
 	}
 	if m.used > m.capacity {
 		return fmt.Errorf("kvcache: used %d exceeds capacity %d", m.used, m.capacity)
 	}
-	//prefill:allow(simdeterminism): test-only invariant sweep; reports error presence, never touches sim state
-	for _, b := range m.blocks {
-		if b.children != children[b.hash] {
-			return fmt.Errorf("kvcache: block %x children=%d, actual %d", b.hash, b.children, children[b.hash])
+	for s := int32(0); s < m.arena.n; s++ {
+		b := m.arena.at(s)
+		if b.depth == 0 {
+			continue
+		}
+		if b.children != children[s] {
+			return fmt.Errorf("kvcache: block %x children=%d, actual %d", b.hash, b.children, children[s])
 		}
 		evictable := b.pins == 0 && b.children == 0
 		if evictable != (b.heapIdx >= 0) {

@@ -2,6 +2,7 @@ package kvcache
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -312,10 +313,16 @@ func TestRandomOpsInvariants(t *testing.T) {
 
 // --- change-notification feed ---
 
+// cloneEvent copies an event out of the Manager's reused buffers, as a
+// subscriber that keeps events past its callback must.
+func cloneEvent(ev ChangeEvent) ChangeEvent {
+	return ChangeEvent{Inserted: slices.Clone(ev.Inserted), Evicted: slices.Clone(ev.Evicted)}
+}
+
 func TestSubscribeReportsInsertsAndEvictions(t *testing.T) {
 	m := newMgr(t, 4)
 	var events []ChangeEvent
-	m.Subscribe(func(ev ChangeEvent) { events = append(events, ev) })
+	m.Subscribe(func(ev ChangeEvent) { events = append(events, cloneEvent(ev)) })
 
 	chainA := BlockHashes(seq(1, 4*16), 16)
 	m.InsertH(chainA, 1)
@@ -367,7 +374,7 @@ func TestSubscribeReportsInsertsAndEvictions(t *testing.T) {
 func TestSubscribeReportsReserveAndEvictAll(t *testing.T) {
 	m := newMgr(t, 4)
 	var events []ChangeEvent
-	m.Subscribe(func(ev ChangeEvent) { events = append(events, ev) })
+	m.Subscribe(func(ev ChangeEvent) { events = append(events, cloneEvent(ev)) })
 
 	m.InsertH(BlockHashes(seq(1, 4*16), 16), 1)
 	events = events[:0]

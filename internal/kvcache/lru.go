@@ -17,18 +17,18 @@ func (h *lruHeap) less(i, j int) bool {
 
 func (h *lruHeap) swap(i, j int) {
 	h.items[i], h.items[j] = h.items[j], h.items[i]
-	h.items[i].heapIdx = i
-	h.items[j].heapIdx = j
+	h.items[i].heapIdx = int32(i)
+	h.items[j].heapIdx = int32(j)
 }
 
 func (h *lruHeap) push(b *block) {
-	b.heapIdx = len(h.items)
+	b.heapIdx = int32(len(h.items))
 	h.items = append(h.items, b)
-	h.up(b.heapIdx)
+	h.up(len(h.items) - 1)
 }
 
 func (h *lruHeap) remove(b *block) {
-	i := b.heapIdx
+	i := int(b.heapIdx)
 	if i < 0 {
 		return
 	}
@@ -49,8 +49,8 @@ func (h *lruHeap) fix(b *block) {
 	if b.heapIdx < 0 {
 		return
 	}
-	h.down(b.heapIdx)
-	h.up(b.heapIdx)
+	h.down(int(b.heapIdx))
+	h.up(int(b.heapIdx))
 }
 
 // popOldest removes and returns the least-recently-used evictable block,

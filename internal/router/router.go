@@ -30,6 +30,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/jct"
+	"repro/internal/kvcache"
 	"repro/internal/metrics"
 	"repro/internal/sched"
 	"repro/internal/trace"
@@ -190,8 +191,10 @@ type instanceState struct {
 	// completed requests. Merged into hit estimation so that concurrent
 	// requests sharing a prefix are attracted to the instance already
 	// computing it, instead of stampeding the same prefix onto several
-	// instances before the first one caches it.
-	pendingBlocks map[uint64]int
+	// instances before the first one caches it. Every routed request
+	// registers its whole root chain, so the set is prefix-closed along
+	// any chain, like the cache itself (see hitTokens).
+	pendingBlocks kvcache.BlockTable
 }
 
 // pending is the bookkeeping of one routed, not-yet-completed request.
@@ -215,6 +218,9 @@ type Router struct {
 	routableDirty bool
 	inflight      map[int64]pending
 	admission     *metrics.Admission
+	// view is Submit's policy view, reset per request so routing does
+	// not allocate.
+	view view
 }
 
 // estimatorEngine is satisfied by engines that expose a calibrated JCT
@@ -281,10 +287,9 @@ func (rt *Router) AddInstance(e engine.Engine) (int, error) {
 		return 0, fmt.Errorf("router: instance is nil")
 	}
 	st := &instanceState{
-		id:            rt.nextID,
-		eng:           e,
-		est:           resolveEstimator(rt.cfg, e),
-		pendingBlocks: make(map[uint64]int),
+		id:  rt.nextID,
+		eng: e,
+		est: resolveEstimator(rt.cfg, e),
 	}
 	rt.nextID++
 	rt.instances = append(rt.instances, st)
@@ -539,18 +544,28 @@ func estSeconds(st *instanceState, r *sched.Request, hit int) float64 {
 // when it is cached or when a request already routed to the instance is
 // about to cache it (pending), so the estimate reflects the near future
 // rather than stampeding shared prefixes across instances.
+//
+// Both sets are prefix-closed along the request's root chain: the cached
+// blocks by the argument on kvcache.Manager.PeekH, the pending blocks
+// because each routed request registers its whole chain. Their union is
+// prefix-closed too, so the walk's stopping point is found by binary
+// search, as PeekH does for the cache alone.
 func hitTokens(st *instanceState, r *sched.Request) int {
 	c := st.eng.Cache()
 	if c == nil {
 		return 0
 	}
-	hit := 0
-	for _, h := range engine.HashesOf(r, c.BlockTokens()) {
-		if !c.HasBlock(h) && st.pendingBlocks[h] == 0 {
-			break
+	hashes := engine.HashesOf(r, c.BlockTokens())
+	lo, hi := 0, len(hashes)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if h := hashes[mid]; c.HasBlock(h) || st.pendingBlocks.Has(h) {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
-		hit += c.BlockTokens()
 	}
+	hit := lo * c.BlockTokens()
 	if hit > r.Len() {
 		hit = r.Len()
 	}
@@ -561,21 +576,25 @@ func hitTokens(st *instanceState, r *sched.Request) int {
 // the routable instances, memoizing the per-instance hit walk for the
 // request being routed: AffinityLoad scans every instance and then
 // re-scores two finalists, and Submit's admission check needs the chosen
-// instance's hit again — each would otherwise re-walk the prompt's block
-// chain (hundreds of map lookups on long prompts) on the routing hot path.
+// instance's hit again — each would otherwise re-probe the prompt's
+// block chain on the routing hot path.
 type view struct {
 	insts []*instanceState
 	r     *sched.Request
 	hits  []int // per-instance hit, -1 = not yet computed
 }
 
-func (rt *Router) newView(r *sched.Request) *view {
-	insts := rt.routable()
-	hits := make([]int, len(insts))
-	for i := range hits {
-		hits[i] = -1
+// resetView points the router's view at the routable instances for
+// routing r, reusing its hits buffer.
+func (rt *Router) resetView(r *sched.Request) *view {
+	v := &rt.view
+	v.insts = rt.routable()
+	v.r = r
+	v.hits = v.hits[:0]
+	for range v.insts {
+		v.hits = append(v.hits, -1)
 	}
-	return &view{insts: insts, r: r, hits: hits}
+	return v
 }
 
 func (v *view) Instances() int  { return len(v.insts) }
@@ -603,7 +622,7 @@ func (rt *Router) Submit(r *sched.Request) error {
 	if _, dup := rt.inflight[r.ID]; dup {
 		return fmt.Errorf("router: request ID %d is already in flight", r.ID)
 	}
-	v := rt.newView(r)
+	v := rt.resetView(r)
 	if len(v.insts) == 0 {
 		// No routable capacity (every instance draining, crashed or
 		// preempted): a typed shed, so fault-injected runs degrade to
@@ -651,7 +670,8 @@ func (rt *Router) Submit(r *sched.Request) error {
 	if c := st.eng.Cache(); c != nil {
 		hashes = engine.HashesOf(r, c.BlockTokens())
 		for _, h := range hashes {
-			st.pendingBlocks[h]++
+			n, _ := st.pendingBlocks.Get(h)
+			st.pendingBlocks.Set(h, n+1)
 		}
 	}
 	rt.inflight[r.ID] = pending{instance: st.id, tokens: int64(r.Len()), seconds: est, class: r.Class, hashes: hashes}
@@ -695,8 +715,10 @@ func (rt *Router) Completed(rec engine.Record) {
 		}
 	}
 	for _, h := range p.hashes {
-		if st.pendingBlocks[h]--; st.pendingBlocks[h] <= 0 {
-			delete(st.pendingBlocks, h)
+		if n, _ := st.pendingBlocks.Get(h); n > 1 {
+			st.pendingBlocks.Set(h, n-1)
+		} else {
+			st.pendingBlocks.Delete(h)
 		}
 	}
 }
