@@ -119,16 +119,19 @@ func (c *Config) emit(rec Record) {
 	}
 }
 
-// HashesOf returns (computing lazily) the request's prefix-cache hash
-// chain for the given block size, memoized on the request. It is the
-// single hash-chain entry point: engines, routers and schedulers all go
-// through it so a request is hashed at most once per block size.
+// HashesOf returns the request's prefix-cache hash chain for the given
+// block size, computing it on first use. It is the single hash-chain
+// entry point: engines, routers and schedulers all go through it. Chains
+// are memoized per base request, not per clone: a dataset request and
+// all of its clones share one sched.HashChain, so a sweep hashes each
+// request once however many cells re-run it. A request built without a
+// memo gets one of its own here. The returned chain is shared and must
+// not be written.
 func HashesOf(r *sched.Request, blockTokens int) []uint64 {
-	if r.BlockHashes == nil || r.HashBlockTokens != blockTokens {
-		r.BlockHashes = kvcache.BlockHashes(r.Tokens, blockTokens)
-		r.HashBlockTokens = blockTokens
+	if r.Chain == nil {
+		r.Chain = new(sched.HashChain)
 	}
-	return r.BlockHashes
+	return r.Chain.Load(r.Tokens, blockTokens, kvcache.BlockHashes)
 }
 
 // AttachIncremental switches a Calibrated scheduler into incremental mode

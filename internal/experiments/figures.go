@@ -141,9 +141,7 @@ func Figure5() ([]Figure5Result, error) {
 		}
 		s := mksched(cache)
 		for _, n := range []string{"A", "B", "C", "D"} {
-			r := reqs[n]
-			r.BlockHashes = nil // fresh hash cache per policy run
-			s.Enqueue(r)
+			s.Enqueue(reqs[n])
 		}
 		res := Figure5Result{Policy: policy}
 		now := 0.0

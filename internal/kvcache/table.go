@@ -96,6 +96,53 @@ func (t *BlockTable) Set(key, val uint64) {
 	}
 }
 
+// Add adds delta to the count stored under key, where an absent key
+// counts 0, and returns the new count. A count that reaches 0 is deleted,
+// so a table of refcounts holds only live keys. It probes the table once,
+// where Get followed by Set or Delete probes twice. Driving a count below
+// 0 panics.
+func (t *BlockTable) Add(key uint64, delta int64) uint64 {
+	if key == 0 {
+		n := addCount(t.zeroVal, delta)
+		t.hasZero, t.zeroVal = n != 0, n
+		return n
+	}
+	if delta > 0 && 2*(t.n+1) > len(t.slots) {
+		t.grow()
+	}
+	if len(t.slots) == 0 {
+		return addCount(0, delta) // empty and delta <= 0
+	}
+	mask := uint64(len(t.slots) - 1)
+	for i := t.home(key); ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		if s.key == key {
+			s.val = addCount(s.val, delta)
+			if s.val == 0 {
+				t.deleteAt(i)
+				return 0
+			}
+			return s.val
+		}
+		if s.key == 0 {
+			n := addCount(0, delta)
+			if n != 0 {
+				s.key, s.val = key, n
+				t.n++
+			}
+			return n
+		}
+	}
+}
+
+// addCount returns n+delta, panicking if that is below 0.
+func addCount(n uint64, delta int64) uint64 {
+	if delta < 0 && uint64(-delta) > n {
+		panic("kvcache: BlockTable count below zero")
+	}
+	return n + uint64(delta)
+}
+
 // Delete removes key and reports whether it was present.
 func (t *BlockTable) Delete(key uint64) bool {
 	if key == 0 {
@@ -118,8 +165,15 @@ func (t *BlockTable) Delete(key uint64) bool {
 		}
 		i = (i + 1) & mask
 	}
-	// Backward-shift: pull each later member of the probe run into the
-	// hole unless that would move it before its home slot.
+	t.deleteAt(i)
+	return true
+}
+
+// deleteAt empties the occupied slot i. Backward shift: it pulls each
+// later member of the probe run into the hole unless that would move it
+// before its home slot.
+func (t *BlockTable) deleteAt(i uint64) {
+	mask := uint64(len(t.slots) - 1)
 	for j := (i + 1) & mask; ; j = (j + 1) & mask {
 		s := t.slots[j]
 		if s.key == 0 {
@@ -132,7 +186,6 @@ func (t *BlockTable) Delete(key uint64) bool {
 	}
 	t.slots[i] = tableSlot{}
 	t.n--
-	return true
 }
 
 // grow doubles the slot array (or makes the first one) and reinserts

@@ -148,9 +148,12 @@ func TestTableDeleteWrapsAround(t *testing.T) {
 	}
 }
 
-// FuzzTableMatchesMap drives set/get/delete from fuzz bytes against a Go
-// map. Each op is two bytes: the opcode (low two bits; the high bit
-// spreads the key) and the key.
+// FuzzTableMatchesMap drives set/get/delete/add from fuzz bytes against a
+// Go map. Each op is two bytes: the opcode and the key. The opcode's low
+// three bits pick the operation, bits 4-5 an Add magnitude, and the high
+// bit spreads the key. Adds model refcounts: a count that reaches 0 is
+// deleted, and a decrement past 0 must panic and leave the table as it
+// was.
 func FuzzTableMatchesMap(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 2, 2, 1, 1, 2, 0, 0, 2, 0})
 	f.Add([]byte{128, 3, 128, 4, 130, 3, 0, 255, 2, 255, 1, 0})
@@ -161,7 +164,12 @@ func FuzzTableMatchesMap(f *testing.F) {
 	for i := 0; i < 128; i += 3 {
 		seq = append(seq, 2, byte(i))
 	}
+	for i := 0; i < 128; i += 2 {
+		seq = append(seq, 0x34, byte(i), 0x15, byte(i))
+	}
 	f.Add(seq)
+	// Adds at key 0 and elsewhere, counted down to 0 and past it.
+	f.Add([]byte{4, 0, 0x14, 0, 5, 0, 1, 0, 0x35, 0, 1, 0, 7, 0, 4, 9, 0x84, 9, 6, 9, 5, 9, 1, 9, 7, 9})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var tab BlockTable
 		ref := map[uint64]uint64{}
@@ -170,7 +178,8 @@ func FuzzTableMatchesMap(f *testing.F) {
 			if op&0x80 != 0 {
 				key *= 0xff51afd7ed558ccd
 			}
-			switch op & 3 {
+			mag := int64(1 + (op>>4)&3)
+			switch op & 7 {
 			case 0, 3:
 				val := uint64(i)
 				tab.Set(key, val)
@@ -187,6 +196,30 @@ func FuzzTableMatchesMap(f *testing.F) {
 					t.Fatalf("Delete(%#x) = %v, want %v", key, ok, wantOK)
 				}
 				delete(ref, key)
+			case 4, 5, 6:
+				delta := mag
+				if op&7 != 4 {
+					// Count down, never past 0.
+					delta = -min(mag, int64(ref[key]))
+				}
+				want := uint64(int64(ref[key]) + delta)
+				if got := tab.Add(key, delta); got != want {
+					t.Fatalf("Add(%#x, %d) = %d, want %d", key, delta, got, want)
+				}
+				if want == 0 {
+					delete(ref, key)
+				} else {
+					ref[key] = want
+				}
+			case 7:
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Fatalf("Add(%#x) past 0 did not panic", key)
+						}
+					}()
+					tab.Add(key, -int64(ref[key])-mag)
+				}()
 			}
 			if tab.Len() != len(ref) {
 				t.Fatalf("Len = %d after op %d, want %d", tab.Len(), i/2, len(ref))

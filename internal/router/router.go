@@ -670,8 +670,7 @@ func (rt *Router) Submit(r *sched.Request) error {
 	if c := st.eng.Cache(); c != nil {
 		hashes = engine.HashesOf(r, c.BlockTokens())
 		for _, h := range hashes {
-			n, _ := st.pendingBlocks.Get(h)
-			st.pendingBlocks.Set(h, n+1)
+			st.pendingBlocks.Add(h, 1)
 		}
 	}
 	rt.inflight[r.ID] = pending{instance: st.id, tokens: int64(r.Len()), seconds: est, class: r.Class, hashes: hashes}
@@ -715,10 +714,6 @@ func (rt *Router) Completed(rec engine.Record) {
 		}
 	}
 	for _, h := range p.hashes {
-		if n, _ := st.pendingBlocks.Get(h); n > 1 {
-			st.pendingBlocks.Set(h, n-1)
-		} else {
-			st.pendingBlocks.Delete(h)
-		}
+		st.pendingBlocks.Add(h, -1)
 	}
 }

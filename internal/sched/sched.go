@@ -7,6 +7,7 @@ package sched
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/ringbuf"
 )
@@ -85,12 +86,12 @@ type Request struct {
 	// observable per request.
 	EstimatedSeconds float64
 
-	// BlockHashes caches the content-addressed prefix-cache hash chain
-	// of Tokens for HashBlockTokens-sized blocks. Engines populate it
-	// lazily (via kvcache.BlockHashes) so repeated cache operations on
-	// large prompts do not re-hash them.
-	BlockHashes     []uint64
-	HashBlockTokens int
+	// Chain memoizes the prefix-cache hash chain of Tokens (see
+	// HashChain). NewRequest attaches one, and Dataset.Clone copies the
+	// pointer, so a generated request and all of its clones share one
+	// chain. When nil, engine.HashesOf attaches a memo of the request's
+	// own on first use.
+	Chain *HashChain
 
 	// Retries counts how many times the request has been orphaned by an
 	// instance failure and re-admitted (internal/chaos). Admission sheds
@@ -100,6 +101,48 @@ type Request struct {
 
 // Len returns the input length in tokens.
 func (r *Request) Len() int { return len(r.Tokens) }
+
+// NewRequest returns a copy of r with a fresh hash-chain memo attached.
+// The request and its memo are allocated together, so a request built
+// here costs one allocation, as a bare &Request{} does.
+func NewRequest(r Request) *Request {
+	b := &struct {
+		req   Request
+		chain HashChain
+	}{req: r}
+	b.req.Chain = &b.chain
+	return &b.req
+}
+
+// HashChain memoizes one request's content-addressed prefix-cache hash
+// chain. A chain is a pure function of the tokens and the block size, so
+// every copy of a request may share one memo: the first caller computes
+// the chain and publishes it, and later callers, on any goroutine, read
+// the same slice. A published chain is never written again (kvcache only
+// reads and subslices chains), which is what makes sharing it safe.
+//
+// The memo holds one block size, the first one asked for; a chain for
+// any other size is computed on every call and not kept. The zero value
+// is an empty memo ready for use.
+type HashChain struct {
+	once        sync.Once
+	blockTokens int
+	hashes      []uint64
+}
+
+// Load returns the chain of tokens for blockTokens-sized blocks, calling
+// hash to compute it when the memo does not hold it. tokens must be the
+// tokens of the request the memo belongs to.
+func (c *HashChain) Load(tokens []uint64, blockTokens int, hash func([]uint64, int) []uint64) []uint64 {
+	c.once.Do(func() {
+		c.blockTokens = blockTokens
+		c.hashes = hash(tokens, blockTokens)
+	})
+	if c.blockTokens != blockTokens {
+		return hash(tokens, blockTokens)
+	}
+	return c.hashes
+}
 
 // JCTFunc estimates the JCT of a request at the present moment (it
 // consults the prefix cache, so its value changes over time).

@@ -651,14 +651,14 @@ func (b *Backend) SubmitClass(prompt string, allowed []string, userID int, class
 	id := b.nextID
 	now := b.simNow()
 	b.sim.RunUntil(now)
-	r := &sched.Request{
+	r := sched.NewRequest(sched.Request{
 		ID:            id,
 		UserID:        userID,
 		Tokens:        toks,
 		ArrivalTime:   b.sim.Now(),
 		AllowedTokens: allowed,
 		Class:         class,
-	}
+	})
 	b.ts.Arrival(b.sim.Now(), class)
 	b.waiters[id] = ch
 	if b.rt != nil {

@@ -90,12 +90,12 @@ func ClassMix(cfg ClassMixConfig) *Dataset {
 		toks := make([]uint64, 0, templateTokens+dlen)
 		toks = append(toks, template...)
 		toks = append(toks, doc...)
-		batch = append(batch, &sched.Request{
+		batch = append(batch, sched.NewRequest(sched.Request{
 			UserID:        batchUserBase + u,
 			Tokens:        toks,
 			Class:         sched.ClassBatch,
 			AllowedTokens: []string{"Yes", "No"},
-		})
+		}))
 	}
 
 	reqs := append(append([]*sched.Request(nil), inter.Requests...), batch...)

@@ -41,11 +41,13 @@ type Dataset struct {
 }
 
 // Clone returns a copy of the dataset whose request structs are fresh but
-// whose token storage (and allowed-token lists) is shared with the
-// original. Tokens are immutable once generated, but runs mutate the
-// wrapping Request — arrival stamps, memoized block-hash chains — so
-// concurrent sweep cells must each run against their own clone; sharing
-// the multi-megabyte token arrays keeps that cheap.
+// whose token storage, allowed-token lists and hash-chain memos are shared
+// with the original. Tokens and chains are immutable once built, but runs
+// mutate the per-run fields of the wrapping Request (arrival stamps,
+// estimates, retry counts), so concurrent sweep cells must each run
+// against their own clone. Sharing the multi-megabyte token arrays keeps
+// that cheap, and sharing the memos means the first cell to hash a
+// request publishes its chain for the base and every other clone.
 func (d *Dataset) Clone() *Dataset {
 	c := *d
 	c.Requests = make([]*sched.Request, len(d.Requests))
@@ -157,12 +159,12 @@ func PostRecommendation(cfg PostRecommendationConfig) *Dataset {
 			toks = append(toks, profile...)
 			toks = append(toks, post...)
 			id++
-			r := &sched.Request{
+			r := sched.NewRequest(sched.Request{
 				ID:            id,
 				UserID:        u,
 				Tokens:        toks,
 				AllowedTokens: []string{"Yes", "No"},
-			}
+			})
 			d.Requests = append(d.Requests, r)
 			if r.Len() > d.MaxLen {
 				d.MaxLen = r.Len()
@@ -212,12 +214,12 @@ func CreditVerification(cfg CreditVerificationConfig) *Dataset {
 		toks := make([]uint64, 0, templateTokens+hlen)
 		toks = append(toks, template...)
 		toks = append(toks, hist...)
-		r := &sched.Request{
+		r := sched.NewRequest(sched.Request{
 			ID:            int64(u + 1),
 			UserID:        u,
 			Tokens:        toks,
 			AllowedTokens: []string{"Approve", "Deny"},
-		}
+		})
 		d.Requests = append(d.Requests, r)
 		if r.Len() > d.MaxLen {
 			d.MaxLen = r.Len()

@@ -2,6 +2,9 @@ package workload
 
 import (
 	"testing"
+
+	"repro/internal/engine"
+	"repro/internal/sched"
 )
 
 func TestPostRecommendationTable1(t *testing.T) {
@@ -186,20 +189,28 @@ func TestCloneIsolatesRequestMutation(t *testing.T) {
 		if r == base.Requests[i] {
 			t.Fatalf("clone shares request struct %d with base", i)
 		}
-		// Token storage is shared (immutable), not copied.
+		// Token storage and the hash-chain memo are shared, not copied.
 		if len(r.Tokens) > 0 && &r.Tokens[0] != &base.Requests[i].Tokens[0] {
 			t.Fatalf("clone copied token storage of request %d", i)
 		}
+		if r.Chain == nil || r.Chain != base.Requests[i].Chain {
+			t.Fatalf("request %d: clone memo %p, base memo %p; want one shared memo", i, r.Chain, base.Requests[i].Chain)
+		}
 	}
-	// Mutating a clone (what a run does) must not leak into base or
-	// sibling clones.
+	// A run's per-run fields must not leak into base or sibling clones.
 	c1.Requests[0].ArrivalTime = 42
-	c1.Requests[0].BlockHashes = []uint64{1, 2, 3}
-	c1.Requests[0].HashBlockTokens = 16
-	if base.Requests[0].ArrivalTime == 42 || base.Requests[0].BlockHashes != nil {
-		t.Fatal("clone mutation leaked into base")
+	c1.Requests[0].EstimatedSeconds = 7
+	c1.Requests[0].Retries = 3
+	for name, r := range map[string]*sched.Request{"base": base.Requests[0], "sibling clone": c2.Requests[0]} {
+		if r.ArrivalTime != 0 || r.EstimatedSeconds != 0 || r.Retries != 0 {
+			t.Fatalf("clone mutation leaked into %s: %+v", name, r)
+		}
 	}
-	if c2.Requests[0].ArrivalTime == 42 || c2.Requests[0].BlockHashes != nil {
-		t.Fatal("clone mutation leaked into sibling clone")
+	// The chain one clone computes is the one base and sibling read.
+	h := engine.HashesOf(c1.Requests[0], 16)
+	for name, r := range map[string]*sched.Request{"base": base.Requests[0], "sibling clone": c2.Requests[0]} {
+		if got := engine.HashesOf(r, 16); &got[0] != &h[0] {
+			t.Fatalf("%s re-hashed a chain a clone had published", name)
+		}
 	}
 }

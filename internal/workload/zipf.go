@@ -111,12 +111,12 @@ func Skewed(cfg SkewedConfig) *Dataset {
 		toks = append(toks, template...)
 		toks = append(toks, profile...)
 		toks = append(toks, post...)
-		r := &sched.Request{
+		r := sched.NewRequest(sched.Request{
 			ID:            id,
 			UserID:        u,
 			Tokens:        toks,
 			AllowedTokens: []string{"Yes", "No"},
-		}
+		})
 		d.Requests = append(d.Requests, r)
 		if r.Len() > d.MaxLen {
 			d.MaxLen = r.Len()

@@ -355,12 +355,12 @@ func (s *Simulation) SubmitAt(t float64, r *Request) {
 // returning the created request.
 func (s *Simulation) SubmitText(t float64, userID int, prompt string, allowed []string) *Request {
 	s.nextID++
-	r := &Request{
+	r := sched.NewRequest(Request{
 		ID:            s.nextID,
 		UserID:        userID,
 		Tokens:        s.tok.Encode(prompt),
 		AllowedTokens: allowed,
-	}
+	})
 	s.SubmitAt(t, r)
 	return r
 }
