@@ -174,7 +174,7 @@ type windowSample struct {
 // Controller is the elastic pool controller.
 type Controller struct {
 	cfg     Config
-	s       sim.Clock
+	s       *sim.Sim
 	rt      *router.Router
 	factory func() (engine.Engine, error)
 
@@ -203,7 +203,7 @@ type Controller struct {
 // returns must be wired to the same simulation and completion sink as the
 // router's existing instances. The router's current instances are adopted
 // as the initial pool, provisioned as of the current simulated time.
-func New(cfg Config, s sim.Clock, rt *router.Router, factory func() (engine.Engine, error)) (*Controller, error) {
+func New(cfg Config, s *sim.Sim, rt *router.Router, factory func() (engine.Engine, error)) (*Controller, error) {
 	if s == nil || rt == nil || factory == nil {
 		return nil, fmt.Errorf("autoscale: sim, router and factory are required")
 	}

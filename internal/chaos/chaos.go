@@ -8,11 +8,8 @@
 // Determinism: every fault time comes from a seeded exponential-gap
 // stream (sim.Poisson) and every victim from a seeded generator, both
 // dedicated per fault kind, so a chaos-enabled run replays exactly for a
-// given Config. Faults must be scheduled on a kernel's coordinator clock
-// (engine.Kernel.Clock()): crash and preemption events mutate engine and
-// router state across instances, which is cross-shard work, so the
-// sharded kernel executes them at barriers — a faulted run is
-// byte-identical serial vs sharded.
+// given Config: a faulted run is byte-identical across repeated runs and
+// across sweep cell parallelism.
 //
 // The disabled injector is a nil *Injector: New returns nil when no
 // fault kind is enabled, and every method no-ops on a nil receiver
@@ -224,7 +221,7 @@ type stream struct {
 //prefill:niltolerant
 type Injector struct {
 	cfg   Config
-	clock sim.Clock
+	clock *sim.Sim
 	rt    *router.Router
 	opts  Options
 
@@ -235,10 +232,9 @@ type Injector struct {
 	stats Stats
 }
 
-// New builds an injector over a running router, scheduling on clock —
-// which must be the kernel's coordinator clock in sharded runs. It
+// New builds an injector over a running router, scheduling on clock. It
 // returns nil (the disabled injector) when cfg enables no fault kind.
-func New(cfg Config, clock sim.Clock, rt *router.Router, opts Options) *Injector {
+func New(cfg Config, clock *sim.Sim, rt *router.Router, opts Options) *Injector {
 	if !cfg.Enabled() {
 		return nil
 	}

@@ -74,7 +74,7 @@ type Config struct {
 	// GPU is the device type; parallel engines use two of them.
 	GPU *hw.GPU
 	// Sim is the event kernel the engine schedules on.
-	Sim sim.Clock
+	Sim *sim.Sim
 	// ProfileMaxLen is the user-provided maximum input length used by
 	// the profile run to size the activation reserve (§3.1).
 	ProfileMaxLen int

@@ -37,7 +37,7 @@ const ppStageImbalance = 1.10
 // halves per-GPU compute and memory at the cost of communication that is
 // serialized with compute (§2.5, §5.2).
 type TensorParallel struct {
-	sim       sim.Clock
+	sim       *sim.Sim
 	scheduler sched.Scheduler
 	lc        lifecycle
 	busy      bool
@@ -150,7 +150,7 @@ func tpDone(arg any) {
 // stages process different requests concurrently, and pipeline bubbles
 // appear whenever consecutive requests have unequal lengths (§2.5).
 type PipelineParallel struct {
-	sim       sim.Clock
+	sim       *sim.Sim
 	scheduler sched.Scheduler
 	lc        lifecycle
 

@@ -16,7 +16,7 @@ import (
 // PrefillOnly and the two non-parallel baselines are all Serial engines;
 // they differ in prefill strategy, KV residency, and scheduler.
 type Serial struct {
-	sim       sim.Clock
+	sim       *sim.Sim
 	scheduler sched.Scheduler
 	lc        lifecycle
 

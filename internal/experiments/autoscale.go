@@ -9,6 +9,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/router"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -40,9 +41,6 @@ type AutoscaleRunConfig struct {
 	Controller autoscale.Config
 	// Lambda overrides PrefillOnly's fairness parameter (0 = default).
 	Lambda float64
-	// Shards selects the event kernel: <= 1 serial, >= 2 the sharded
-	// kernel with that many workers. Results are identical either way.
-	Shards int
 }
 
 func (rc *AutoscaleRunConfig) defaults() error {
@@ -97,31 +95,25 @@ func AutoscaleRun(rc AutoscaleRunConfig) (*AutoscaleRunResult, error) {
 	if rc.FixedInstances > 0 {
 		initial = rc.FixedInstances
 	}
-	kern := engine.NewKernel(rc.Shards, engine.MinEventSeconds(rc.Scenario.Model, rc.Scenario.GPU))
+	clock := &sim.Sim{}
 	var recs []engine.Record
 	var rt *router.Router
 	profLen := (rc.Dataset.MaxLen/1000 + 1) * 1000
 	cfg := engine.Config{
 		Model:         rc.Scenario.Model,
 		GPU:           rc.Scenario.GPU,
+		Sim:           clock,
 		ProfileMaxLen: profLen,
+		OnComplete: func(r engine.Record) {
+			if rt != nil {
+				rt.Completed(r)
+			}
+			recs = append(recs, r)
+		},
 	}
-	sinkFor := kern.CompletionSinks(func(r engine.Record) {
-		if rt != nil {
-			rt.Completed(r)
-		}
-		recs = append(recs, r)
-	})
-	// The factory serves both initial construction and mid-run scale-ups:
-	// built counts every instance ever created, so autoscaled additions
-	// continue the shard rotation deterministically.
-	built := 0
+	// The factory serves both initial construction and mid-run scale-ups.
 	factory := func() (engine.Engine, error) {
-		c := cfg
-		c.Sim = kern.InstanceClock(built)
-		c.OnComplete = sinkFor(built)
-		built++
-		return core.New(c, core.Options{Lambda: rc.Lambda})
+		return core.New(cfg, core.Options{Lambda: rc.Lambda})
 	}
 	engines := make([]engine.Engine, initial)
 	for i := range engines {
@@ -148,7 +140,7 @@ func AutoscaleRun(rc AutoscaleRunConfig) (*AutoscaleRunResult, error) {
 		ccfg.MaxInstances = rc.MaxInstances
 		ccfg.Model = rc.Scenario.Model
 		ccfg.GPU = rc.Scenario.GPU
-		ctl, err = autoscale.New(ccfg, kern.Clock(), rt, factory)
+		ctl, err = autoscale.New(ccfg, clock, rt, factory)
 		if err != nil {
 			return nil, err
 		}
@@ -162,7 +154,6 @@ func AutoscaleRun(rc AutoscaleRunConfig) (*AutoscaleRunResult, error) {
 	}
 	rejected := 0
 	var submitErr error
-	clock := kern.Clock()
 	for _, a := range arrivals {
 		a := a
 		clock.At(a.Time, func() {
@@ -178,7 +169,7 @@ func AutoscaleRun(rc AutoscaleRunConfig) (*AutoscaleRunResult, error) {
 			}
 		})
 	}
-	end := kern.Run()
+	end := clock.Run()
 	if submitErr != nil {
 		return nil, submitErr
 	}
@@ -243,7 +234,7 @@ type AutoscaleSweepRow struct {
 // peak fleet's shed rate at materially fewer GPU-seconds. Serial
 // convenience wrapper around AutoscaleSweepParallel.
 func AutoscaleSweep(seed int64, small bool) ([]AutoscaleSweepRow, error) {
-	rows, _, err := AutoscaleSweepParallel(seed, small, 1, 1)
+	rows, _, err := AutoscaleSweepParallel(seed, small, 1)
 	return rows, err
 }
 
@@ -251,9 +242,8 @@ func AutoscaleSweep(seed int64, small bool) ([]AutoscaleSweepRow, error) {
 // executor: one saturation cell, then the three provisioning modes as
 // independent cells (each generates its own dataset; arrivals are
 // restamped per run). The savings-vs-peak column is derived after all
-// cells return, so rows are byte-identical at any parallelism — and at any
-// shard count (shards picks each cell's event kernel).
-func AutoscaleSweepParallel(seed int64, small bool, parallel, shards int) ([]AutoscaleSweepRow, CellStats, error) {
+// cells return, so rows are byte-identical at any parallelism.
+func AutoscaleSweepParallel(seed int64, small bool, parallel int) ([]AutoscaleSweepRow, CellStats, error) {
 	sc, err := ScenarioByName("L4")
 	if err != nil {
 		return nil, CellStats{}, err
@@ -312,7 +302,6 @@ func AutoscaleSweepParallel(seed int64, small bool, parallel, shards int) ([]Aut
 	rows, runStats, err := runCells(parallel, len(runs), func(i int) (AutoscaleSweepRow, error) {
 		rc := runs[i]
 		rc.Dataset = mkDataset() // fresh dataset per cell: arrivals are restamped
-		rc.Shards = shards
 		res, err := AutoscaleRun(rc)
 		if err != nil {
 			return AutoscaleSweepRow{}, fmt.Errorf("autoscale %s: %w", rc.Dataset.Name, err)

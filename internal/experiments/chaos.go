@@ -11,6 +11,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/router"
 	"repro/internal/sched"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -39,10 +40,6 @@ type ChaosRunConfig struct {
 	MaxBacklogSeconds float64
 	// Lambda overrides PrefillOnly's fairness parameter (0 = default).
 	Lambda float64
-	// Shards selects the event kernel: <= 1 serial, >= 2 the sharded
-	// kernel with that many workers. Results are identical either way:
-	// faults are coordinator events, executed at shard barriers.
-	Shards int
 }
 
 func (rc *ChaosRunConfig) defaults() error {
@@ -99,28 +96,24 @@ func ChaosRun(rc ChaosRunConfig) (*ChaosRunResult, error) {
 	if err := rc.defaults(); err != nil {
 		return nil, err
 	}
-	kern := engine.NewKernel(rc.Shards, engine.MinEventSeconds(rc.Scenario.Model, rc.Scenario.GPU))
+	clock := &sim.Sim{}
 	var recs []engine.Record
 	var rt *router.Router
 	profLen := (rc.Dataset.MaxLen/1000 + 1) * 1000
 	cfg := engine.Config{
 		Model:         rc.Scenario.Model,
 		GPU:           rc.Scenario.GPU,
+		Sim:           clock,
 		ProfileMaxLen: profLen,
+		OnComplete: func(r engine.Record) {
+			if rt != nil {
+				rt.Completed(r)
+			}
+			recs = append(recs, r)
+		},
 	}
-	sinkFor := kern.CompletionSinks(func(r engine.Record) {
-		if rt != nil {
-			rt.Completed(r)
-		}
-		recs = append(recs, r)
-	})
-	built := 0
 	factory := func() (engine.Engine, error) {
-		c := cfg
-		c.Sim = kern.InstanceClock(built)
-		c.OnComplete = sinkFor(built)
-		built++
-		return core.New(c, core.Options{Lambda: rc.Lambda})
+		return core.New(cfg, core.Options{Lambda: rc.Lambda})
 	}
 	engines := make([]engine.Engine, rc.MinInstances)
 	for i := range engines {
@@ -144,7 +137,7 @@ func ChaosRun(rc ChaosRunConfig) (*ChaosRunResult, error) {
 		MaxInstances: rc.MaxInstances,
 		Model:        rc.Scenario.Model,
 		GPU:          rc.Scenario.GPU,
-	}, kern.Clock(), rt, factory)
+	}, clock, rt, factory)
 	if err != nil {
 		return nil, err
 	}
@@ -163,13 +156,12 @@ func ChaosRun(rc ChaosRunConfig) (*ChaosRunResult, error) {
 		ccfg.HorizonSeconds = arrivals[len(arrivals)-1].Time
 	}
 	orphanShed := 0
-	inj := chaos.New(ccfg, kern.Clock(), rt, chaos.Options{
+	inj := chaos.New(ccfg, clock, rt, chaos.Options{
 		Controller: ctl,
 		OnShed:     func(*sched.Request, *router.RejectError) { orphanShed++ },
 	})
 	rejected := 0
 	var submitErr error
-	clock := kern.Clock()
 	for _, a := range arrivals {
 		a := a
 		clock.At(a.Time, func() {
@@ -186,7 +178,7 @@ func ChaosRun(rc ChaosRunConfig) (*ChaosRunResult, error) {
 		})
 	}
 	inj.Start()
-	end := kern.Run()
+	end := clock.Run()
 	if submitErr != nil {
 		return nil, submitErr
 	}
@@ -250,7 +242,7 @@ type ChaosSweepRow struct {
 
 // ChaosSweep is the serial convenience wrapper around ChaosSweepParallel.
 func ChaosSweep(seed int64, small bool) ([]ChaosSweepRow, error) {
-	rows, _, err := ChaosSweepParallel(seed, small, 1, 1)
+	rows, _, err := ChaosSweepParallel(seed, small, 1)
 	return rows, err
 }
 
@@ -260,9 +252,8 @@ func ChaosSweep(seed int64, small bool) ([]ChaosSweepRow, error) {
 // spot preemptions). Fault rates are sized relative to the run span so
 // every mode sees a handful of faults regardless of dataset size. The
 // degradation columns are derived after all cells return, so rows are
-// byte-identical at any parallelism — and at any shard count (faults are
-// coordinator events in the sharded kernel).
-func ChaosSweepParallel(seed int64, small bool, parallel, shards int) ([]ChaosSweepRow, CellStats, error) {
+// byte-identical at any parallelism.
+func ChaosSweepParallel(seed int64, small bool, parallel int) ([]ChaosSweepRow, CellStats, error) {
 	sc, err := ScenarioByName("L4")
 	if err != nil {
 		return nil, CellStats{}, err
@@ -308,7 +299,6 @@ func ChaosSweepParallel(seed int64, small bool, parallel, shards int) ([]ChaosSw
 		res, err := ChaosRun(ChaosRunConfig{
 			Scenario: sc, Dataset: mkDataset(), QPS: qps, Seed: seed,
 			Chaos: modes[i].cfg, MinInstances: minInst, MaxInstances: maxInst,
-			Shards: shards,
 		})
 		if err != nil {
 			return ChaosSweepRow{}, fmt.Errorf("chaos %s: %w", modes[i].name, err)

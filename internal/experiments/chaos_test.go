@@ -65,27 +65,6 @@ func TestChaosSweepRecovery(t *testing.T) {
 	}
 }
 
-// TestChaosSweepShardedOracle: a faulted run must be byte-identical on
-// the sharded kernel — faults are coordinator events, executed at shard
-// barriers — with cell parallelism composed on top.
-func TestChaosSweepShardedOracle(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-run sweep with profile runs")
-	}
-	serialRows, _, err := ChaosSweepParallel(1, true, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, _, err := ChaosSweepParallel(1, true, 2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := mustJSON(t, serialRows), mustJSON(t, rows)
-	if string(a) != string(b) {
-		t.Fatalf("sharded chaos sweep diverged from serial:\nserial:  %s\nsharded: %s", a, b)
-	}
-}
-
 // TestChaosRunValidation covers the config guards.
 func TestChaosRunValidation(t *testing.T) {
 	if _, err := ChaosRun(ChaosRunConfig{}); err == nil {

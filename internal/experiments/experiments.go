@@ -21,9 +21,8 @@ import (
 
 // scheduleArrivals schedules a dataset onto the clock through submit:
 // Poisson arrivals at qps > 0, or closed-loop saturation (everything at
-// t=0) otherwise. Arrivals always land on a kernel's coordinator clock —
-// submission routes across instances, which is cross-shard work.
-func scheduleArrivals(s sim.Clock, ds *workload.Dataset, qps float64, seed int64, submit func(*sched.Request)) error {
+// t=0) otherwise.
+func scheduleArrivals(s *sim.Sim, ds *workload.Dataset, qps float64, seed int64, submit func(*sched.Request)) error {
 	if qps > 0 {
 		arrivals, err := workload.AssignPoissonArrivals(ds, qps, seed)
 		if err != nil {
@@ -199,9 +198,6 @@ type RunConfig struct {
 	Lambda float64
 	// TotalGPUs is the scenario's GPU count (default 2, as in §7.1).
 	TotalGPUs int
-	// Shards selects the event kernel: <= 1 serial, >= 2 the sharded
-	// kernel with that many workers. Results are identical either way.
-	Shards int
 }
 
 // RunResult aggregates one run.
@@ -227,10 +223,9 @@ type RunResult struct {
 	Records []engine.Record
 }
 
-// buildCluster constructs the engine instances for a run on the kernel's
-// shard clocks and returns the cluster; completions flow through the
-// kernel's merged sinks into onComplete.
-func buildCluster(rc RunConfig, kern *engine.Kernel, onComplete func(engine.Record)) (*cluster.Cluster, error) {
+// buildCluster constructs the engine instances for a run on s and returns
+// the cluster; completions flow into onComplete.
+func buildCluster(rc RunConfig, s *sim.Sim, onComplete func(engine.Record)) (*cluster.Cluster, error) {
 	totalGPUs := rc.TotalGPUs
 	if totalGPUs <= 0 {
 		totalGPUs = 2
@@ -239,14 +234,9 @@ func buildCluster(rc RunConfig, kern *engine.Kernel, onComplete func(engine.Reco
 	cfg := engine.Config{
 		Model:         rc.Scenario.Model,
 		GPU:           rc.Scenario.GPU,
+		Sim:           s,
 		ProfileMaxLen: profLen,
-	}
-	sinkFor := kern.CompletionSinks(onComplete)
-	instance := func(i int) engine.Config {
-		c := cfg
-		c.Sim = kern.InstanceClock(i)
-		c.OnComplete = sinkFor(i)
-		return c
+		OnComplete:    onComplete,
 	}
 	var engines []engine.Engine
 	if rc.Kind.Parallel() {
@@ -254,9 +244,9 @@ func buildCluster(rc RunConfig, kern *engine.Kernel, onComplete func(engine.Reco
 			var e engine.Engine
 			var err error
 			if rc.Kind == TensorParallel {
-				e, err = engine.NewTensorParallel(instance(g))
+				e, err = engine.NewTensorParallel(cfg)
 			} else {
-				e, err = engine.NewPipelineParallel(instance(g))
+				e, err = engine.NewPipelineParallel(cfg)
 			}
 			if err != nil {
 				return nil, err
@@ -269,11 +259,11 @@ func buildCluster(rc RunConfig, kern *engine.Kernel, onComplete func(engine.Reco
 			var err error
 			switch rc.Kind {
 			case PrefillOnly:
-				e, err = core.New(instance(g), core.Options{Lambda: rc.Lambda})
+				e, err = core.New(cfg, core.Options{Lambda: rc.Lambda})
 			case PagedAttention:
-				e, err = engine.NewPagedAttention(instance(g))
+				e, err = engine.NewPagedAttention(cfg)
 			case ChunkedPrefill:
-				e, err = engine.NewChunkedPrefill(instance(g), 0)
+				e, err = engine.NewChunkedPrefill(cfg, 0)
 			default:
 				err = fmt.Errorf("experiments: unknown engine kind %v", rc.Kind)
 			}
@@ -291,17 +281,17 @@ func Run(rc RunConfig) (*RunResult, error) {
 	if rc.Dataset == nil {
 		return nil, fmt.Errorf("experiments: RunConfig.Dataset is required")
 	}
-	kern := engine.NewKernel(rc.Shards, engine.MinEventSeconds(rc.Scenario.Model, rc.Scenario.GPU))
+	s := &sim.Sim{}
 	var recs []engine.Record
-	cl, err := buildCluster(rc, kern, func(r engine.Record) { recs = append(recs, r) })
+	cl, err := buildCluster(rc, s, func(r engine.Record) { recs = append(recs, r) })
 	if err != nil {
 		return nil, err
 	}
 
-	if err := scheduleArrivals(kern.Clock(), rc.Dataset, rc.QPS, rc.Seed, cl.Submit); err != nil {
+	if err := scheduleArrivals(s, rc.Dataset, rc.QPS, rc.Seed, cl.Submit); err != nil {
 		return nil, err
 	}
-	kern.Run()
+	s.Run()
 
 	if len(recs) != len(rc.Dataset.Requests) {
 		return nil, fmt.Errorf("experiments: %d of %d requests completed", len(recs), len(rc.Dataset.Requests))

@@ -10,6 +10,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/router"
 	"repro/internal/sched"
+	"repro/internal/sim"
 	"repro/internal/timeseries"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -71,9 +72,6 @@ type RoutingRunConfig struct {
 	// run installs its own gauge sampler and boundary ticker on the
 	// collector; callers just construct it with the interval they want.
 	Timeseries *timeseries.Collector
-	// Shards selects the event kernel: <= 1 serial, >= 2 the sharded
-	// kernel with that many workers. Results are identical either way.
-	Shards int
 }
 
 // RoutingRunResult aggregates one routed run.
@@ -121,34 +119,27 @@ func RoutingRunPolicy(rc RoutingRunConfig, pol router.Policy) (*RoutingRunResult
 	if instances <= 0 {
 		instances = 4
 	}
-	kern := engine.NewKernel(rc.Shards, engine.MinEventSeconds(rc.Scenario.Model, rc.Scenario.GPU))
+	clock := &sim.Sim{}
 	var recs []engine.Record
 	var rt *router.Router
 	profLen := (rc.Dataset.MaxLen/1000 + 1) * 1000
 	cfg := engine.Config{
 		Model:         rc.Scenario.Model,
 		GPU:           rc.Scenario.GPU,
+		Sim:           clock,
 		ProfileMaxLen: profLen,
 		Tracer:        rc.Tracer,
+		OnComplete: func(r engine.Record) {
+			if rt != nil {
+				rt.Completed(r)
+			}
+			recs = append(recs, r)
+			rc.Timeseries.Complete(r.Finish, r.Req.Class, r.Latency())
+		},
 	}
-	// Router accounting and the record slice are shared state: completions
-	// flow through the kernel's merged sinks so the sharded kernel applies
-	// them in the serial kernel's global finish order.
-	sinkFor := kern.CompletionSinks(func(r engine.Record) {
-		if rt != nil {
-			rt.Completed(r)
-		}
-		recs = append(recs, r)
-		// Pass the record's own finish time: under the sharded kernel this
-		// sink runs at window barriers, after the coordinator clock moved on.
-		rc.Timeseries.Complete(r.Finish, r.Req.Class, r.Latency())
-	})
 	engines := make([]engine.Engine, instances)
 	for i := range engines {
-		c := cfg
-		c.Sim = kern.InstanceClock(i)
-		c.OnComplete = sinkFor(i)
-		e, err := core.New(c, core.Options{Lambda: rc.Lambda})
+		e, err := core.New(cfg, core.Options{Lambda: rc.Lambda})
 		if err != nil {
 			return nil, err
 		}
@@ -165,7 +156,6 @@ func RoutingRunPolicy(rc RoutingRunConfig, pol router.Policy) (*RoutingRunResult
 		return nil, err
 	}
 
-	clock := kern.Clock()
 	if rc.Timeseries != nil {
 		instCount := instances
 		rc.Timeseries.SetSample(func(now float64) timeseries.Gauges {
@@ -203,15 +193,14 @@ func RoutingRunPolicy(rc RoutingRunConfig, pol router.Policy) (*RoutingRunResult
 			submitErr = err
 		}
 	}
-	if err := scheduleArrivals(kern.Clock(), rc.Dataset, rc.QPS, rc.Seed, submit); err != nil {
+	if err := scheduleArrivals(clock, rc.Dataset, rc.QPS, rc.Seed, submit); err != nil {
 		return nil, err
 	}
 	if rc.Tracer != nil {
 		// Fleet gauges on sim ticks: router loads, pool size, cache
 		// residency. Armed after arrivals are scheduled so the sampler's
-		// drain discipline (stop when no other events remain) holds. The
-		// sampler reads fleet-wide state, so it ticks on the coordinator.
-		trace.NewSampler(kern.Clock(), 0.5, func(now float64) {
+		// drain discipline (stop when no other events remain) holds.
+		trace.NewSampler(clock, 0.5, func(now float64) {
 			for _, info := range rt.InstanceInfos() {
 				rc.Tracer.LoadGauge(now, info.ID, info.Load.QueuedRequests, info.Load.BacklogSeconds)
 			}
@@ -219,7 +208,7 @@ func RoutingRunPolicy(rc RoutingRunConfig, pol router.Policy) (*RoutingRunResult
 			rc.Tracer.SampleCaches(now)
 		}).Start()
 	}
-	kern.Run()
+	clock.Run()
 
 	if submitErr != nil {
 		return nil, submitErr
@@ -297,17 +286,15 @@ func RoutingDatasets(seed int64, small bool) []*workload.Dataset {
 // near the cluster's aggregate saturation so queues form and routing
 // decisions matter. Serial convenience wrapper around RoutingSweepParallel.
 func RoutingSweep(seed int64, small bool) ([]RoutingSweepRow, error) {
-	rows, _, err := RoutingSweepParallel(seed, small, 1, 1)
+	rows, _, err := RoutingSweepParallel(seed, small, 1)
 	return rows, err
 }
 
 // RoutingSweepParallel is RoutingSweep fanned across the cell executor:
 // phase 1 measures each dataset's saturation throughput, phase 2 runs the
 // (dataset, policy) grid. Every cell takes its own clone of the immutable
-// base dataset, so rows are byte-identical at any parallelism — and at any
-// shard count: shards picks each cell's event kernel (two orthogonal axes
-// of parallelism: cells across experiment points, shards within one run).
-func RoutingSweepParallel(seed int64, small bool, parallel, shards int) ([]RoutingSweepRow, CellStats, error) {
+// base dataset, so rows are byte-identical at any parallelism.
+func RoutingSweepParallel(seed int64, small bool, parallel int) ([]RoutingSweepRow, CellStats, error) {
 	sc, err := ScenarioByName("L4")
 	if err != nil {
 		return nil, CellStats{}, err
@@ -344,7 +331,6 @@ func RoutingSweepParallel(seed int64, small bool, parallel, shards int) ([]Routi
 		res, err := RoutingRun(RoutingRunConfig{
 			Policy: pols[c.pi], Scenario: sc, Dataset: ds,
 			QPS: qpsFor[c.di], Seed: seed, Instances: instances,
-			Shards: shards,
 		})
 		if err != nil {
 			return RoutingSweepRow{}, fmt.Errorf("routing %v on %s: %w", pols[c.pi], ds.Name, err)

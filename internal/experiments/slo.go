@@ -27,6 +27,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/router"
 	"repro/internal/sched"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -52,9 +53,6 @@ type SLORunConfig struct {
 	BatchWeight float64
 	// Lambda overrides PrefillOnly's fairness parameter (0 = default).
 	Lambda float64
-	// Shards selects the event kernel: <= 1 serial, >= 2 the sharded
-	// kernel with that many workers. Results are identical either way.
-	Shards int
 }
 
 func (rc *SLORunConfig) defaults() error {
@@ -103,31 +101,29 @@ func SLORun(rc SLORunConfig) (*SLORunResult, error) {
 	if err := rc.defaults(); err != nil {
 		return nil, err
 	}
-	kern := engine.NewKernel(rc.Shards, engine.MinEventSeconds(rc.Scenario.Model, rc.Scenario.GPU))
+	clock := &sim.Sim{}
 	var recs []engine.Record
 	var rt *router.Router
 	profLen := (rc.Dataset.MaxLen/1000 + 1) * 1000
 	cfg := engine.Config{
 		Model:         rc.Scenario.Model,
 		GPU:           rc.Scenario.GPU,
+		Sim:           clock,
 		ProfileMaxLen: profLen,
+		OnComplete: func(r engine.Record) {
+			if rt != nil {
+				rt.Completed(r)
+			}
+			recs = append(recs, r)
+		},
 	}
-	sinkFor := kern.CompletionSinks(func(r engine.Record) {
-		if rt != nil {
-			rt.Completed(r)
-		}
-		recs = append(recs, r)
-	})
 	opts := core.Options{Lambda: rc.Lambda}
 	if rc.BatchWeight > 1 {
 		opts.ClassWeights = map[sched.Class]float64{sched.ClassBatch: rc.BatchWeight}
 	}
 	engines := make([]engine.Engine, rc.Instances)
 	for i := range engines {
-		c := cfg
-		c.Sim = kern.InstanceClock(i)
-		c.OnComplete = sinkFor(i)
-		e, err := core.New(c, opts)
+		e, err := core.New(cfg, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -155,7 +151,6 @@ func SLORun(rc SLORunConfig) (*SLORunResult, error) {
 		res.Mode = "class-aware"
 	}
 	var submitErr error
-	clock := kern.Clock()
 	for _, a := range arrivals {
 		a := a
 		if a.Req.Class == sched.ClassBatch {
@@ -182,7 +177,7 @@ func SLORun(rc SLORunConfig) (*SLORunResult, error) {
 			}
 		})
 	}
-	end := kern.Run()
+	end := clock.Run()
 	if submitErr != nil {
 		return nil, submitErr
 	}
@@ -236,16 +231,15 @@ type SLOSweepRow struct {
 // that start before any interactive request is dropped. Serial
 // convenience wrapper around SLOSweepParallel.
 func SLOSweep(seed int64, small bool) ([]SLOSweepRow, error) {
-	rows, _, err := SLOSweepParallel(seed, small, 1, 1)
+	rows, _, err := SLOSweepParallel(seed, small, 1)
 	return rows, err
 }
 
 // SLOSweepParallel is SLOSweep fanned across the cell executor: one
 // saturation cell, then the class-blind and class-aware runs as
 // independent cells, each on its own freshly generated dataset. Rows are
-// byte-identical at any parallelism — and at any shard count (shards picks
-// each cell's event kernel).
-func SLOSweepParallel(seed int64, small bool, parallel, shards int) ([]SLOSweepRow, CellStats, error) {
+// byte-identical at any parallelism.
+func SLOSweepParallel(seed int64, small bool, parallel int) ([]SLOSweepRow, CellStats, error) {
 	sc, err := ScenarioByName("L4")
 	if err != nil {
 		return nil, CellStats{}, err
@@ -307,7 +301,6 @@ func SLOSweepParallel(seed int64, small bool, parallel, shards int) ([]SLOSweepR
 	rows, runStats, err := runCells(parallel, len(runs), func(i int) (SLOSweepRow, error) {
 		rc := runs[i]
 		rc.Dataset = mkDataset() // fresh dataset per cell: arrivals are restamped
-		rc.Shards = shards
 		res, err := SLORun(rc)
 		if err != nil {
 			return SLOSweepRow{}, fmt.Errorf("slo %s: %w", rc.Dataset.Name, err)

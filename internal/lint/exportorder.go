@@ -6,7 +6,7 @@ import (
 )
 
 // ExportOrder protects the byte-identity contract on exported artifacts
-// (sweep JSON compared across serial/parallel/sharded executors, trace
+// (sweep JSON compared across serial and parallel executors, trace
 // and time-series exports, committed BENCH_*.json files): in the
 // export/bench packages it flags encoding/json marshaling of raw
 // map-typed values.

@@ -24,11 +24,9 @@ var HotPathAlloc = &Analyzer{
 	Run: runHotPathAlloc,
 }
 
-// schedulingFuncs are the sim-package calls that enqueue events. One-time
-// registrations (OnBarrier hooks, constructors) are not per-event costs
-// and are deliberately not listed.
+// schedulingFuncs are the sim-package calls that enqueue events.
 var schedulingFuncs = map[string]bool{
-	"At": true, "After": true, "AtFunc": true, "AfterFunc": true, "Post": true,
+	"At": true, "After": true, "AtFunc": true, "AfterFunc": true,
 }
 
 func runHotPathAlloc(pass *Pass) {

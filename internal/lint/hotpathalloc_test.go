@@ -17,6 +17,6 @@ func TestHotPathAllocFixture(t *testing.T) {
 func TestHotPathAllocScopedToEngineSched(t *testing.T) {
 	diags := linttest.Run(t, "testdata", lint.HotPathAlloc, "hotpathalloc/internal/router")
 	if len(diags) != 0 {
-		t.Fatalf("hotpathalloc flagged a coordinator-side closure outside engine/sched: %v", diags)
+		t.Fatalf("hotpathalloc flagged a router-side closure outside engine/sched: %v", diags)
 	}
 }

@@ -8,7 +8,7 @@ import "strings"
 // to linttest fixture modules ("fixmod/internal/sim").
 
 // DeterministicPackages is the deterministic core: every package whose
-// execution must be byte-identical across serial, parallel and sharded
+// execution must be byte-identical across repeated and parallel-cell
 // runs. simdeterminism bans wall clocks, global math/rand and map
 // iteration here; hotpathalloc bans container/heap here.
 //

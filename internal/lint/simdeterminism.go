@@ -6,14 +6,14 @@ import (
 )
 
 // SimDeterminism enforces the byte-identity contract inside the
-// deterministic core (DeterministicPackages): serial, parallel-cell and
-// sharded-kernel runs of the same seed must produce identical output, so
-// nothing in those packages may read wall clocks, draw from the
-// process-global math/rand source, or iterate a map in hash order.
+// deterministic core (DeterministicPackages): repeated and parallel-cell
+// runs of the same seed must produce identical output, so nothing in
+// those packages may read wall clocks, draw from the process-global
+// math/rand source, or iterate a map in hash order.
 //
-// Justified exceptions — e.g. the sharded kernel's barrier-stall
-// profiling, which observes wall time but never feeds it back into event
-// order — carry a //prefill:allow(simdeterminism): <reason> annotation.
+// Justified exceptions — e.g. profiling that observes wall time but never
+// feeds it back into event order — carry a
+// //prefill:allow(simdeterminism): <reason> annotation.
 var SimDeterminism = &Analyzer{
 	Name: "simdeterminism",
 	Doc: "flag time.Now/Since/Until, global math/rand, and map iteration " +

@@ -14,7 +14,7 @@ import (
 var _ = heap.Init
 
 type tensorParallel struct {
-	clock sim.Clock
+	clock *sim.Sim
 	cur   int
 }
 
@@ -34,9 +34,3 @@ func (t *tensorParallel) schedule(dur float64) {
 	//prefill:allow(hotpathalloc): one-shot arrival injection at setup, not a steady-state event
 	t.clock.At(0, func() { t.cur = 1 })
 }
-
-func (t *tensorParallel) register(s *sim.Sim) {
-	s.OnBarrier(t.finish0) // one-time registration, not a scheduling call: ok
-}
-
-func (t *tensorParallel) finish0() { t.cur = 0 }

@@ -1,21 +1,12 @@
 // Package sim is a stub of the real sim kernel: just enough surface
-// (Clock, the Func fast path) for the hotpathalloc fixtures to
-// type-check against a package whose path ends in internal/sim.
+// (Sim, the Func fast path) for the hotpathalloc fixtures to type-check
+// against a package whose path ends in internal/sim.
 package sim
 
 // Func is the zero-alloc fast-path callback type.
 type Func func(arg any)
 
-// Clock mirrors the real sim.Clock scheduling surface.
-type Clock interface {
-	Now() float64
-	At(t float64, fn func())
-	After(d float64, fn func())
-	AtFunc(t float64, fn Func, arg any)
-	AfterFunc(d float64, fn Func, arg any)
-}
-
-// Sim is a trivial Clock implementation.
+// Sim mirrors the real kernel's scheduling surface.
 type Sim struct{ now float64 }
 
 func (s *Sim) Now() float64                          { return s.now }
@@ -23,6 +14,3 @@ func (s *Sim) At(t float64, fn func())               {}
 func (s *Sim) After(d float64, fn func())            {}
 func (s *Sim) AtFunc(t float64, fn Func, arg any)    {}
 func (s *Sim) AfterFunc(d float64, fn Func, arg any) {}
-
-// OnBarrier is a one-time hook registration, not an event schedule.
-func (s *Sim) OnBarrier(fn func()) {}

@@ -13,12 +13,9 @@
 // The backing array is bounded by the peak pending depth and shrinks when
 // the queue drains, following the internal/ringbuf discipline.
 //
-// The package offers two kernels over the same heap machinery: Sim, the
-// serial kernel every experiment ran on historically, and ShardedSim (see
-// shard.go), which partitions instance-local events across per-shard
-// workers under conservative time windows for parallelism within a single
-// fleet-scale run. Code that only schedules and reads the clock accepts
-// the Clock interface so it runs unchanged on either kernel.
+// There is one kernel, the serial Sim. Multi-core speed comes from running
+// independent runs side by side (the experiments cell executor), each on
+// its own Sim; event execution within one run stays serial.
 package sim
 
 import (
@@ -33,30 +30,6 @@ import (
 // same representation via a trampoline.
 type Func func(arg any)
 
-// Clock is the scheduling surface shared by the serial kernel (*Sim), the
-// sharded kernel's coordinator (*ShardedSim), and its per-instance shards
-// (*Shard). Engines, samplers and controllers program against Clock so the
-// same code runs serially or sharded; only run construction picks the
-// kernel. Pending is part of the surface because the autoscaler's and
-// sampler's termination discipline ("reschedule only while other events
-// remain") is clock behaviour, not kernel behaviour.
-type Clock interface {
-	// Now returns the current simulated time in seconds.
-	Now() float64
-	// AtFunc schedules fn(arg) at absolute time t (zero-alloc fast path).
-	AtFunc(t float64, fn Func, arg any)
-	// AfterFunc schedules fn(arg) d seconds from now (fast path).
-	AfterFunc(d float64, fn Func, arg any)
-	// At schedules a closure at absolute time t.
-	At(t float64, fn func())
-	// After schedules a closure d seconds from now.
-	After(d float64, fn func())
-	// Pending returns the number of queued events visible to this clock.
-	// On a sharded kernel every clock reports the whole run's pending
-	// count, matching what the serial kernel would say.
-	Pending() int
-}
-
 // event is one scheduled callback, stored by value in the heap slice.
 type event struct {
 	time float64
@@ -69,10 +42,8 @@ type event struct {
 // allocated (same floor as internal/ringbuf).
 const minEventCap = 8
 
-// eventHeap is the value-based min-heap ordered by (time, seq). It is the
-// storage both kernels share: the serial Sim owns one, and every shard and
-// the sharded coordinator own one each. Methods never allocate beyond the
-// backing array's amortized growth.
+// eventHeap is the value-based min-heap ordered by (time, seq). Methods
+// never allocate beyond the backing array's amortized growth.
 type eventHeap struct {
 	events []event
 }
@@ -143,27 +114,15 @@ func (h *eventHeap) pop() event {
 // len returns the pending depth.
 func (h *eventHeap) len() int { return len(h.events) }
 
-// minTime returns the earliest pending event time, or +Inf when empty.
-func (h *eventHeap) minTime() float64 {
-	if len(h.events) == 0 {
-		return math.Inf(1)
-	}
-	return h.events[0].time
-}
-
 // Sim is a serial discrete-event simulator. The zero value is ready to
 // use. Sim is not goroutine-safe: each simulation owns one Sim, and
-// parallel experiment cells each run their own. For parallelism within one
-// run, see ShardedSim.
+// parallel experiment cells each run their own.
 type Sim struct {
 	now      float64
 	seq      uint64
 	executed uint64
 	heap     eventHeap // min-heap ordered by (time, seq)
 }
-
-// Sim implements Clock.
-var _ Clock = (*Sim)(nil)
 
 // Now returns the current simulated time in seconds.
 func (s *Sim) Now() float64 { return s.now }

@@ -76,8 +76,12 @@ func TestRunUntil(t *testing.T) {
 	if s.Now() != 2.5 {
 		t.Fatalf("now = %v, want 2.5", s.Now())
 	}
-	if s.Pending() != 2 {
-		t.Fatalf("pending = %d, want 2", s.Pending())
+	if s.Pending() != 2 || s.Executed() != 2 {
+		t.Fatalf("pending = %d, executed = %d, want 2 and 2", s.Pending(), s.Executed())
+	}
+	s.Run()
+	if s.Pending() != 0 || s.Executed() != 4 {
+		t.Fatalf("after Run: pending = %d, executed = %d, want 0 and 4", s.Pending(), s.Executed())
 	}
 }
 

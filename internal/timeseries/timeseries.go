@@ -20,8 +20,7 @@
 // The collector is nil-safe — every method no-ops on a nil receiver, so
 // the disabled path stays a single branch and allocates nothing — and
 // deterministic: all inputs are sim-event times and counts, never wall
-// clocks, so enabled runs replay bit-identically across kernel shard
-// counts.
+// clocks, so enabled runs replay bit-identically.
 package timeseries
 
 import (
@@ -156,7 +155,7 @@ type Collector struct {
 	maxRows   int
 	sample    func(now float64) Gauges
 
-	clock   sim.Clock
+	clock   *sim.Sim
 	running bool
 
 	idx     int64   // current (open) window index
@@ -250,10 +249,8 @@ func (c *Collector) Arrival(now float64, class sched.Class) {
 }
 
 // Complete records a request finishing at sim time now with the given
-// end-to-end latency. Callers must pass the completion's own event time
-// (record finish), never a clock read: on the sharded kernel completions
-// apply at window barriers, where the coordinator clock has already
-// advanced.
+// end-to-end latency. Callers pass the completion's own event time
+// (record finish).
 func (c *Collector) Complete(now float64, class sched.Class, latencySeconds float64) {
 	if c == nil {
 		return
@@ -485,7 +482,7 @@ func (c *Collector) buildRow(end float64, g Gauges, partial bool) Window {
 // terminate (the ticker re-arms on the next Start). Wall-clock servers,
 // whose kernels free-run at the speedup rate even when idle, must NOT
 // attach a ticker — they close windows lazily via Advance instead.
-func (c *Collector) Attach(clock sim.Clock) {
+func (c *Collector) Attach(clock *sim.Sim) {
 	if c == nil {
 		return
 	}

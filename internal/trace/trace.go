@@ -447,7 +447,7 @@ func (r *Recorder) SampleCaches(now float64) {
 //
 //prefill:niltolerant
 type Sampler struct {
-	s        sim.Clock
+	s        *sim.Sim
 	interval float64
 	sample   func(now float64)
 	running  bool
@@ -456,7 +456,7 @@ type Sampler struct {
 // NewSampler builds a sampler calling sample(now) every interval sim
 // seconds. The callback reads fleet state (router loads, caches, pool)
 // and emits gauges on a Recorder.
-func NewSampler(s sim.Clock, interval float64, sample func(now float64)) *Sampler {
+func NewSampler(s *sim.Sim, interval float64, sample func(now float64)) *Sampler {
 	if interval <= 0 {
 		panic("trace: sampler interval must be positive")
 	}

@@ -93,6 +93,83 @@ func TestSimulationRoutedCluster(t *testing.T) {
 	}
 }
 
+// TestSimulationAccountsEverySubmission checks the accounting identity
+// Run enforces, completed + rejected == submitted, on the three fleet
+// shapes the facade assembles: a first-appearance cluster of PP=2 engine
+// pairs, a routed fleet whose admission bound sheds, and an elastic pool
+// growing under a square-wave burst. A run whose counts disagree panics.
+func TestSimulationAccountsEverySubmission(t *testing.T) {
+	skewed := NewSkewed(SkewedConfig{Users: 16, Requests: 96, ProfileMean: 2500,
+		ProfileStd: 500, ProfileMin: 1500, ProfileMax: 4000, Seed: 3})
+	cases := []struct {
+		name       string
+		cfg        SimulationConfig
+		submit     func(*Simulation) (int, error)
+		wantReject bool
+	}{
+		{
+			name: "cluster",
+			cfg:  SimulationConfig{Engine: EnginePipelineParallel, GPUs: 8, MaxInputLen: 6000},
+			submit: func(s *Simulation) (int, error) {
+				ds := NewPostRecommendation(PostRecommendationConfig{Users: 6, PostsPerUser: 8, Seed: 5})
+				return len(ds.Requests), s.SubmitDataset(ds, 10, 13)
+			},
+		},
+		{
+			name: "routed-admission",
+			cfg:  SimulationConfig{GPUs: 4, MaxInputLen: 6000, RoutingPolicy: "affinity", MaxBacklogSeconds: 2},
+			submit: func(s *Simulation) (int, error) {
+				ds := skewed.Clone()
+				return len(ds.Requests), s.SubmitDataset(ds, 200, 11)
+			},
+			wantReject: true,
+		},
+		{
+			name: "autoscaled",
+			cfg: SimulationConfig{GPUs: 4, MaxInputLen: 5000, RoutingPolicy: "affinity", MaxBacklogSeconds: 20,
+				Autoscale: &AutoscaleConfig{MinInstances: 1, UpBacklogSeconds: 2}},
+			submit: func(s *Simulation) (int, error) {
+				ds := skewed.Clone()
+				arrivals, err := AssignOpenLoopArrivals(ds, SquareWaveRate(1, 12, 30, 0.4), 12, 3)
+				for _, a := range arrivals {
+					s.SubmitAt(a.Time, a.Req)
+				}
+				return len(arrivals), err
+			},
+		},
+	}
+	for _, c := range cases {
+		s, err := NewSimulation(c.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		n, err := c.submit(s)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		recs := s.Run()
+		if len(recs)+s.Rejected() != n || len(recs) == 0 {
+			t.Fatalf("%s: completed %d + rejected %d != %d submitted", c.name, len(recs), s.Rejected(), n)
+		}
+		if c.wantReject != (s.Rejected() > 0) {
+			t.Fatalf("%s: rejected %d, want rejections: %v", c.name, s.Rejected(), c.wantReject)
+		}
+		if ctl := s.Autoscaler(); ctl != nil && ctl.Stats().ScaleUps == 0 {
+			t.Fatalf("%s: the burst did not grow the pool", c.name)
+		}
+		s.submitted++ // a request the run never accounted for
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: Run accepted %d completed + %d rejected != %d submitted",
+						c.name, len(recs), s.Rejected(), s.submitted)
+				}
+			}()
+			s.Run()
+		}()
+	}
+}
+
 func TestSimulationDataset(t *testing.T) {
 	s, err := NewSimulation(SimulationConfig{MaxInputLen: 18000})
 	if err != nil {

@@ -100,22 +100,12 @@ type SimulationConfig struct {
 	// (0) costs nothing on the hot path; enabled it never perturbs the
 	// simulation — records are bit-identical either way.
 	TimeseriesSeconds float64
-	// Shards selects the event kernel: <= 1 runs the serial kernel, >= 2
-	// runs the sharded kernel with that many shard workers — engine
-	// instances round-robin onto shard clocks and execute their pass and
-	// dispatch events in parallel inside conservative time windows, while
-	// arrivals, routing, autoscaling and gauge sampling stay on the
-	// coordinator. Results are identical to the serial kernel (the window
-	// lookahead derives from the catalogs' minimum priced pass time);
-	// only the wall clock changes.
-	Shards int
 }
 
 // Simulation is a deterministic serving cluster on a virtual clock.
 type Simulation struct {
 	cfg             SimulationConfig
-	kern            *engine.Kernel
-	clock           sim.Clock             // the kernel's coordinator-side clock
+	clock           *sim.Sim
 	cluster         *cluster.Cluster      // legacy §7.1 routing ("" policy)
 	router          *router.Router        // load/affinity routing (non-empty policy)
 	ctl             *autoscale.Controller // elastic pool (Autoscale config)
@@ -124,6 +114,7 @@ type Simulation struct {
 	ts              *timeseries.Collector // windowed series (TimeseriesSeconds config)
 	tok             *tokenizer.Tokenizer
 	records         []Record
+	submitted       int
 	rejected        int
 	rejectedByClass [sched.NumClasses]int
 	nextID          int64
@@ -171,11 +162,7 @@ func NewSimulation(cfg SimulationConfig) (*Simulation, error) {
 	if len(cfg.ClassWeights) != 0 && cfg.Engine != EnginePrefillOnly {
 		return nil, fmt.Errorf("prefillonly: ClassWeights requires the %s engine", EnginePrefillOnly)
 	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("prefillonly: Shards must be >= 0, got %d", cfg.Shards)
-	}
-	kern := engine.NewKernel(cfg.Shards, engine.MinEventSeconds(cfg.Model, cfg.GPU))
-	s := &Simulation{cfg: cfg, kern: kern, clock: kern.Clock(), tok: tokenizer.New()}
+	s := &Simulation{cfg: cfg, clock: &sim.Sim{}, tok: tokenizer.New()}
 	if cfg.TraceSpans != 0 {
 		s.rec = trace.New(cfg.TraceSpans)
 		interval := cfg.TraceSampleSeconds
@@ -192,31 +179,22 @@ func NewSimulation(cfg SimulationConfig) (*Simulation, error) {
 		s.ts.Attach(s.clock)
 	}
 
-	sinkFor := kern.CompletionSinks(func(r Record) {
-		if s.router != nil {
-			s.router.Completed(r)
-		}
-		s.records = append(s.records, r)
-		// Completions carry their own event time: on the sharded kernel
-		// this sink runs at window barriers, after the coordinator clock
-		// has passed the finish time.
-		s.ts.Complete(r.Finish, r.Req.Class, r.Latency())
-	})
-	ecfg := engine.Config{
+	c := engine.Config{
 		Model:          cfg.Model,
 		GPU:            cfg.GPU,
+		Sim:            s.clock,
 		ProfileMaxLen:  cfg.MaxInputLen,
 		HostCacheBytes: cfg.HostCacheBytes,
-		Tracer:         s.rec,
+		OnComplete: func(r Record) {
+			if s.router != nil {
+				s.router.Completed(r)
+			}
+			s.records = append(s.records, r)
+			s.ts.Complete(r.Finish, r.Req.Class, r.Latency())
+		},
+		Tracer: s.rec,
 	}
-	var instances []engine.Engine
 	mk := func() (engine.Engine, error) {
-		// Each instance schedules on its own shard clock (round-robin;
-		// the serial kernel hands every instance the same Sim) and emits
-		// completions through its shard's merged sink.
-		c := ecfg
-		c.Sim = kern.InstanceClock(len(s.instances))
-		c.OnComplete = sinkFor(len(s.instances))
 		switch cfg.Engine {
 		case EnginePrefillOnly:
 			return core.New(c, core.Options{Lambda: cfg.Lambda, ClassWeights: cfg.ClassWeights})
@@ -278,14 +256,13 @@ func NewSimulation(cfg SimulationConfig) (*Simulation, error) {
 			return nil, err
 		}
 	}
-	instances = s.instances
 	if pol != nil {
 		rt, err := router.New(router.Config{
 			Policy:              pol,
 			MaxBacklogSeconds:   cfg.MaxBacklogSeconds,
 			ClassBacklogSeconds: cfg.ClassBacklogSeconds,
 			Tracer:              s.rec,
-		}, instances...)
+		}, s.instances...)
 		if err != nil {
 			return nil, err
 		}
@@ -300,7 +277,7 @@ func NewSimulation(cfg SimulationConfig) (*Simulation, error) {
 		}
 		return s, nil
 	}
-	cl, err := cluster.New(instances...)
+	cl, err := cluster.New(s.instances...)
 	if err != nil {
 		return nil, err
 	}
@@ -313,6 +290,7 @@ func NewSimulation(cfg SimulationConfig) (*Simulation, error) {
 // programming error (e.g. a policy picking an out-of-range instance) and
 // fails loudly rather than being miscounted as load shedding.
 func (s *Simulation) submit(r *Request) {
+	s.submitted++
 	if s.sampler != nil {
 		// Re-arm the gauge sampler if it wound down after a previous Run
 		// drained the event queue (same discipline as the autoscaler).
@@ -380,9 +358,15 @@ func (s *Simulation) SubmitDataset(d *Dataset, qps float64, seed int64) error {
 }
 
 // Run drains the event queue (serving every submitted request) and returns
-// the completion records in finish order.
+// the completion records in finish order. A drained run must account for
+// every submission as completed or rejected; anything else is a lost
+// request, a programming error that fails loudly.
 func (s *Simulation) Run() []Record {
-	s.kern.Run()
+	s.clock.Run()
+	if len(s.records)+s.rejected != s.submitted {
+		panic(fmt.Sprintf("prefillonly: %d completed + %d rejected != %d submitted",
+			len(s.records), s.rejected, s.submitted))
+	}
 	return s.records
 }
 

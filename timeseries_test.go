@@ -1,22 +1,21 @@
 package prefillonly
 
 // Time-series integration tests: the windowed collector must account for
-// every request exactly, stay byte-identical across kernels, and — the
-// observability bargain — change nothing about the simulation it
-// observes.
+// every request exactly, export byte-identically across repeated runs,
+// and — the observability bargain — change nothing about the simulation
+// it observes.
 
 import (
 	"bytes"
 	"testing"
 )
 
-func timeseriesRoutedRun(t *testing.T, intervalSeconds float64, shards int) (*Simulation, []Record) {
+func timeseriesRoutedRun(t *testing.T, intervalSeconds float64) (*Simulation, []Record) {
 	t.Helper()
 	sim, err := NewSimulation(SimulationConfig{
 		RoutingPolicy:     "affinity",
 		MaxInputLen:       18000,
 		TimeseriesSeconds: intervalSeconds,
-		Shards:            shards,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -30,10 +29,11 @@ func timeseriesRoutedRun(t *testing.T, intervalSeconds float64, shards int) (*Si
 
 // TestTimeseriesDoesNotPerturbSimulation runs the same workload with and
 // without the collector: latencies must be bit-identical. Aggregation
-// must observe, not steer.
+// must observe, not steer. A second collected run must export the same
+// JSON byte for byte.
 func TestTimeseriesDoesNotPerturbSimulation(t *testing.T) {
-	_, plain := timeseriesRoutedRun(t, 0, 0)
-	_, collected := timeseriesRoutedRun(t, 1, 0)
+	_, plain := timeseriesRoutedRun(t, 0)
+	sim, collected := timeseriesRoutedRun(t, 1)
 	if len(plain) != len(collected) {
 		t.Fatalf("completion counts differ: %d vs %d", len(plain), len(collected))
 	}
@@ -42,13 +42,24 @@ func TestTimeseriesDoesNotPerturbSimulation(t *testing.T) {
 			t.Fatalf("record %d diverged under collection: %+v vs %+v", i, plain[i], collected[i])
 		}
 	}
+	again, _ := timeseriesRoutedRun(t, 1)
+	var a, b bytes.Buffer
+	if err := sim.Timeseries().WriteJSON(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := again.Timeseries().WriteJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatalf("time-series JSON differs between identical runs: %d vs %d bytes", a.Len(), b.Len())
+	}
 }
 
 // TestTimeseriesAccountsEveryRequest sums the windowed counters back up:
 // arrivals and completions across all windows must equal the run's
 // totals, and the last window must end at or before the clock.
 func TestTimeseriesAccountsEveryRequest(t *testing.T) {
-	sim, recs := timeseriesRoutedRun(t, 1, 0)
+	sim, recs := timeseriesRoutedRun(t, 1)
 	ts := sim.Timeseries()
 	if ts == nil {
 		t.Fatal("TimeseriesSeconds set but Timeseries() is nil")
@@ -89,28 +100,5 @@ func TestTimeseriesAccountsEveryRequest(t *testing.T) {
 	}
 	if nonEmpty == 0 {
 		t.Fatal("every window is empty")
-	}
-}
-
-// TestTimeseriesShardByteIdentity renders the series from the serial and
-// the 4-shard kernel: the JSON exports must be byte-identical, because
-// parallel execution is an implementation detail the telemetry must not
-// leak.
-func TestTimeseriesShardByteIdentity(t *testing.T) {
-	serialSim, serialRecs := timeseriesRoutedRun(t, 1, 1)
-	shardSim, shardRecs := timeseriesRoutedRun(t, 1, 4)
-	if len(serialRecs) != len(shardRecs) {
-		t.Fatalf("completion counts differ: %d vs %d", len(serialRecs), len(shardRecs))
-	}
-	var serial, sharded bytes.Buffer
-	if err := serialSim.Timeseries().WriteJSON(&serial); err != nil {
-		t.Fatal(err)
-	}
-	if err := shardSim.Timeseries().WriteJSON(&sharded); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(serial.Bytes(), sharded.Bytes()) {
-		t.Fatalf("time-series JSON diverges between serial and 4-shard kernels:\nserial %d bytes, sharded %d bytes",
-			serial.Len(), sharded.Len())
 	}
 }
