@@ -184,8 +184,7 @@ func TestSection63Correlation(t *testing.T) {
 }
 
 // A scaled-down Figure-6-style run: PrefillOnly must complete everything
-// and beat PagedAttention on mean latency at high offered load, and a
-// cluster of four PP=2 pairs must serve the same workload to completion.
+// and beat PagedAttention on mean latency at high offered load.
 func TestRunSmallSweep(t *testing.T) {
 	sc, err := ScenarioByName("L4")
 	if err != nil {
@@ -219,14 +218,6 @@ func TestRunSmallSweep(t *testing.T) {
 	}
 	if po.CacheHitRate < 0.3 {
 		t.Errorf("PrefillOnly hit rate = %.2f on post-recommendation, want substantial", po.CacheHitRate)
-	}
-	pp, err := Run(RunConfig{Kind: PipelineParallel, Scenario: sc, Dataset: ds, QPS: 2 * x, Seed: 1, TotalGPUs: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pp.Completed != len(ds.Requests) || pp.Latency.Mean <= 0 {
-		t.Fatalf("pipeline-parallel pairs: completed %d of %d, mean %.3fs",
-			pp.Completed, len(ds.Requests), pp.Latency.Mean)
 	}
 }
 

@@ -50,34 +50,19 @@ func TestRoutingSweep(t *testing.T) {
 
 // TestRoutingRunAdmission checks that the sweep runner surfaces admission
 // control: a tight backlog bound on closed-loop load must shed requests
-// and still account for every request. Tracing the same run through a
-// small ring must change none of its results and keep the ring's
-// dropped + held == emitted accounting exact.
+// and still account for every request.
 func TestRoutingRunAdmission(t *testing.T) {
 	sc, err := ScenarioByName("L4")
 	if err != nil {
 		t.Fatal(err)
 	}
 	ds := RoutingDatasets(3, true)[0]
-	rc := RoutingRunConfig{
-		Policy: LeastLoadedPolicy, Scenario: sc, Dataset: ds.Clone(),
+	res, err := RoutingRun(RoutingRunConfig{
+		Policy: LeastLoadedPolicy, Scenario: sc, Dataset: ds,
 		QPS: 0, Seed: 3, Instances: 2, MaxBacklogSeconds: 5,
-	}
-	res, err := RoutingRun(rc)
+	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	rc.Dataset = ds.Clone()
-	traced, rec, err := TracedRoutingRun(rc, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a, b := mustJSON(t, res), mustJSON(t, traced); string(a) != string(b) {
-		t.Fatalf("tracing perturbed the run:\nplain:  %s\ntraced: %s", a, b)
-	}
-	if rec.Dropped() == 0 || rec.Dropped()+uint64(rec.Len()) != rec.TotalEmitted() {
-		t.Fatalf("ring accounting: dropped %d + held %d vs emitted %d (want drops)",
-			rec.Dropped(), rec.Len(), rec.TotalEmitted())
 	}
 	if res.Rejected == 0 {
 		t.Fatal("closed-loop load under a 5s bound rejected nothing")

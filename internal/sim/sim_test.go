@@ -76,12 +76,57 @@ func TestRunUntil(t *testing.T) {
 	if s.Now() != 2.5 {
 		t.Fatalf("now = %v, want 2.5", s.Now())
 	}
-	if s.Pending() != 2 || s.Executed() != 2 {
-		t.Fatalf("pending = %d, executed = %d, want 2 and 2", s.Pending(), s.Executed())
+	if s.Pending() != 2 {
+		t.Fatalf("pending = %d, want 2", s.Pending())
+	}
+}
+
+// TestSerialStatsDegenerate pins the kernel's event counter: every
+// executed event is counted once, and nothing else is.
+func TestSerialStatsDegenerate(t *testing.T) {
+	s := &Sim{}
+	for k := 0; k < 5; k++ {
+		s.AtFunc(float64(k), func(any) {}, nil)
+	}
+	if s.Executed() != 0 {
+		t.Fatalf("executed %d before Run, want 0", s.Executed())
+	}
+	if end := s.Run(); end != 4 {
+		t.Fatalf("Run ended at %v, want 4", end)
+	}
+	if s.Executed() != 5 || s.Pending() != 0 {
+		t.Fatalf("executed %d, pending %d after Run, want 5 and 0", s.Executed(), s.Pending())
+	}
+}
+
+// TestShardedExecutedAndPending pins Executed and Pending across a
+// partial and a full run, with events that schedule further events: the
+// two counters always sum to every event ever scheduled. (The name dates
+// from the sharded kernel's merged counters; the simulator now has one
+// kernel.)
+func TestShardedExecutedAndPending(t *testing.T) {
+	var s Sim
+	total := 0
+	for k := 0; k < 4; k++ {
+		s.AtFunc(float64(k), func(any) {
+			s.AfterFunc(0.5, func(any) {}, nil)
+		}, nil)
+		total += 2
+	}
+	if got := s.Pending(); got != 4 {
+		t.Fatalf("Pending() = %d before Run, want 4", got)
+	}
+	s.RunUntil(1.2)
+	// Events at 0, 0.5, 1 ran; 1.5 (child of 1), 2 and 3 wait.
+	if s.Executed() != 3 || s.Pending() != 3 {
+		t.Fatalf("after RunUntil(1.2): executed %d, pending %d, want 3 and 3", s.Executed(), s.Pending())
 	}
 	s.Run()
-	if s.Pending() != 0 || s.Executed() != 4 {
-		t.Fatalf("after Run: pending = %d, executed = %d, want 0 and 4", s.Pending(), s.Executed())
+	if got := s.Pending(); got != 0 {
+		t.Fatalf("Pending() = %d after Run, want 0", got)
+	}
+	if got := s.Executed(); got != uint64(total) {
+		t.Fatalf("Executed() = %d, want %d", got, total)
 	}
 }
 
