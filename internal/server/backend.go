@@ -36,6 +36,8 @@ type Result struct {
 	SimLatency float64
 	// CachedTokens is the prefix-cache hit length.
 	CachedTokens int
+	// PromptTokens is the prompt's length in tokens, BOS included.
+	PromptTokens int
 	// Err is set when the request died after admission: its instance was
 	// killed by a fault and re-admission shed it (a *router.RejectError
 	// with reason "orphan-retries" or an admission reason). Submit
@@ -419,19 +421,8 @@ func (b *Backend) onComplete(rec engine.Record) {
 		return
 	}
 	delete(b.waiters, rec.Req.ID)
-	scores := Score(rec.Req.Tokens, rec.Req.AllowedTokens)
-	best, bestP := "", -1.0
-	for tok, p := range scores {
-		if p > bestP {
-			best, bestP = tok, p
-		}
-	}
-	ch <- Result{
-		Token:        best,
-		Scores:       scores,
-		SimLatency:   rec.Latency(),
-		CachedTokens: rec.CachedTokens,
-	}
+	// The waiter scores the prompt itself, outside the lock.
+	ch <- Result{SimLatency: rec.Latency(), CachedTokens: rec.CachedTokens}
 }
 
 // loop advances simulated time in lockstep with the wall clock.
@@ -622,6 +613,10 @@ func (b *Backend) Close() {
 	close(b.done)
 }
 
+// ErrEmptyPrompt is returned for a prompt that encodes to no tokens
+// besides BOS (empty, or only whitespace).
+var ErrEmptyPrompt = errors.New("server: prompt has no tokens")
+
 // Submit serves one prompt with an allowed-token constraint, blocking
 // until the engine completes it (in scaled wall time). The request is
 // interactive-class; batch tenants go through SubmitClass.
@@ -637,8 +632,10 @@ func (b *Backend) SubmitClass(prompt string, allowed []string, userID int, class
 		allowed = []string{"Yes", "No"}
 	}
 	toks := b.Tokenizer.Encode(prompt)
-	if len(toks) == 0 {
-		return Result{}, fmt.Errorf("server: empty prompt")
+	// A prompt of only whitespace encodes to the special tokens alone,
+	// which is what the empty string encodes to.
+	if len(toks) == b.Tokenizer.Count("") {
+		return Result{}, ErrEmptyPrompt
 	}
 	ch := make(chan Result, 1)
 
@@ -688,6 +685,8 @@ func (b *Backend) SubmitClass(prompt string, allowed []string, userID int, class
 		if res.Err != nil {
 			return Result{}, res.Err
 		}
+		res.Scores = Score(toks, allowed)
+		res.Token, res.PromptTokens = argmax(res.Scores), len(toks)
 		return res, nil
 	case <-b.done:
 		return Result{}, fmt.Errorf("server: backend closed")

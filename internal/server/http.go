@@ -184,13 +184,25 @@ func (h *Handler) timeseries(w http.ResponseWriter, r *http.Request) {
 	_ = timeseries.WriteJSON(w, exp)
 }
 
+// maxBodyBytes caps a /v1/completions request body. A prompt at a
+// 128k-token context fits in under 5 MiB even when every token is a
+// six-byte piece of \u-escaped control bytes, so no admissible request
+// comes near it.
+const maxBodyBytes = 16 << 20
+
 func (h *Handler) completions(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed, apiError{"POST required"})
 		return
 	}
 	var req CompletionRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeJSON(w, http.StatusRequestEntityTooLarge,
+				apiError{fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)})
+			return
+		}
 		writeJSON(w, http.StatusBadRequest, apiError{fmt.Sprintf("bad request body: %v", err)})
 		return
 	}
@@ -217,6 +229,10 @@ func (h *Handler) completions(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res, err := h.Backend.SubmitClass(req.Prompt, req.AllowedTokens, userID, class)
+	if errors.Is(err, ErrEmptyPrompt) {
+		writeJSON(w, http.StatusBadRequest, apiError{err.Error()})
+		return
+	}
 	if err != nil {
 		// Admission-control sheds are the client's signal to back off;
 		// the structured fields say which budget tripped and for whom.
@@ -253,9 +269,9 @@ func (h *Handler) completions(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, apiError{err.Error()})
 		return
 	}
-	prompTokens := h.Backend.Tokenizer.Count(req.Prompt)
+	promptTokens := res.PromptTokens
 	writeJSON(w, http.StatusOK, CompletionResponse{
-		ID:     "cmpl-" + strconv.FormatInt(int64(prompTokens), 36) + strconv.FormatInt(int64(res.CachedTokens), 36),
+		ID:     "cmpl-" + strconv.FormatInt(int64(promptTokens), 36) + strconv.FormatInt(int64(res.CachedTokens), 36),
 		Object: "text_completion",
 		Model:  h.ModelName,
 		Choices: []CompletionChoice{{
@@ -264,9 +280,9 @@ func (h *Handler) completions(w http.ResponseWriter, r *http.Request) {
 			TokenScores:  res.Scores,
 		}},
 		Usage: CompletionUsage{
-			PromptTokens:     prompTokens,
+			PromptTokens:     promptTokens,
 			CompletionTokens: 1,
-			TotalTokens:      prompTokens + 1,
+			TotalTokens:      promptTokens + 1,
 		},
 		SimLatencySeconds: res.SimLatency,
 		CachedTokens:      res.CachedTokens,

@@ -53,3 +53,14 @@ func Score(prompt []uint64, allowed []string) map[string]float64 {
 	}
 	return out
 }
+
+// argmax returns the token with the highest score ("" for no scores).
+func argmax(scores map[string]float64) string {
+	best, bestP := "", -1.0
+	for tok, p := range scores {
+		if p > bestP {
+			best, bestP = tok, p
+		}
+	}
+	return best
+}

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -81,9 +82,18 @@ func TestBackendSubmit(t *testing.T) {
 
 func TestBackendRejectsEmptyPrompt(t *testing.T) {
 	b := testBackend(t)
-	b.Tokenizer.BOS = 0
-	if _, err := b.Submit("", nil, 0); err == nil {
-		t.Fatal("empty prompt accepted")
+	for _, bos := range []uint64{b.Tokenizer.BOS, 0} {
+		b.Tokenizer.BOS = bos
+		for _, prompt := range []string{"", " \n\t "} {
+			if _, err := b.Submit(prompt, nil, 0); !errors.Is(err, ErrEmptyPrompt) {
+				t.Errorf("BOS=%d Submit(%q): err = %v, want ErrEmptyPrompt", bos, prompt, err)
+			}
+		}
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.nextID != 0 {
+		t.Fatalf("%d empty prompts were submitted", b.nextID)
 	}
 }
 
@@ -102,9 +112,10 @@ func TestHTTPCompletions(t *testing.T) {
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 
+	const prompt = "Credit history: paid on time for 10 months. Approve this application? Answer:"
 	body, _ := json.Marshal(CompletionRequest{
 		Model:         "prefillonly-test",
-		Prompt:        "Credit history: paid on time for 10 months. Approve this application? Answer:",
+		Prompt:        prompt,
 		MaxTokens:     1,
 		AllowedTokens: []string{"Approve", "Deny"},
 		User:          "user-42",
@@ -131,8 +142,8 @@ func TestHTTPCompletions(t *testing.T) {
 	if math.Abs(c.TokenScores["Approve"]+c.TokenScores["Deny"]-1) > 1e-9 {
 		t.Fatalf("scores = %v", c.TokenScores)
 	}
-	if out.Usage.PromptTokens <= 0 || out.Usage.CompletionTokens != 1 {
-		t.Fatalf("usage = %+v", out.Usage)
+	if out.Usage.PromptTokens != b.Tokenizer.Count(prompt) || out.Usage.CompletionTokens != 1 {
+		t.Fatalf("usage = %+v, want %d prompt tokens", out.Usage, b.Tokenizer.Count(prompt))
 	}
 }
 
@@ -154,6 +165,9 @@ func TestHTTPValidation(t *testing.T) {
 	if resp := post(`{"prompt":""}`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty prompt: status %d", resp.StatusCode)
 	}
+	if resp := post(`{"prompt":" \n\t "}`); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("whitespace-only prompt: status %d", resp.StatusCode)
+	}
 	if resp := post(`{"prompt":"hi","max_tokens":16}`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("multi-token request: status %d", resp.StatusCode)
 	}
@@ -171,5 +185,22 @@ func TestHTTPValidation(t *testing.T) {
 	models, err := http.Get(srv.URL + "/v1/models")
 	if err != nil || models.StatusCode != http.StatusOK {
 		t.Errorf("models failed: %v", err)
+	}
+}
+
+func TestHTTPBodyLimit(t *testing.T) {
+	b := testBackend(t)
+	h := NewHandler(b, "m")
+	// A well-formed request whose prompt alone runs past the cap.
+	body := `{"prompt":"` + strings.Repeat("a", maxBodyBytes) + `"}`
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/completions", strings.NewReader(body)))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d, want 413", rec.Code)
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.nextID != 0 {
+		t.Fatalf("oversized body submitted %d requests", b.nextID)
 	}
 }
