@@ -491,20 +491,11 @@ func routing(seed int64, small bool, parallel int, jsonPath, tracePath, timeseri
 // windowed time-series collector attached — the sweep cells stay
 // uninstrumented — and writes the series as JSON plus a CSV sibling.
 func writeRoutingTimeseries(path string, seed int64, small bool) error {
-	sc, err := experiments.ScenarioByName("L4")
+	rc, err := experiments.InstrumentedRoutingConfig(seed, small)
 	if err != nil {
 		return err
 	}
-	const instances = 4
-	ds := experiments.RoutingDatasets(seed, small)[0] // the Zipf-skewed scenario
-	sat, err := experiments.SaturationQPS(experiments.PrefillOnly, sc, ds.Clone())
-	if err != nil {
-		return fmt.Errorf("timeseries saturation on %s: %w", ds.Name, err)
-	}
-	res, ts, err := experiments.TimeseriesRoutingRun(experiments.RoutingRunConfig{
-		Policy: experiments.AffinityLoadPolicy, Scenario: sc, Dataset: ds.Clone(),
-		QPS: sat * instances / 2 * 0.9, Seed: seed, Instances: instances,
-	}, 0)
+	res, ts, err := experiments.TimeseriesRoutingRun(rc, 0)
 	if err != nil {
 		return err
 	}
@@ -536,20 +527,11 @@ func writeRoutingTimeseries(path string, seed int64, small bool) error {
 // sweep cells stay untraced so their determinism and allocation profile are
 // untouched — and exports its flight recorder as Chrome trace-event JSON.
 func writeRoutingTrace(path string, seed int64, small bool) error {
-	sc, err := experiments.ScenarioByName("L4")
+	rc, err := experiments.InstrumentedRoutingConfig(seed, small)
 	if err != nil {
 		return err
 	}
-	const instances = 4
-	ds := experiments.RoutingDatasets(seed, small)[0] // the Zipf-skewed scenario
-	sat, err := experiments.SaturationQPS(experiments.PrefillOnly, sc, ds.Clone())
-	if err != nil {
-		return fmt.Errorf("trace saturation on %s: %w", ds.Name, err)
-	}
-	res, rec, err := experiments.TracedRoutingRun(experiments.RoutingRunConfig{
-		Policy: experiments.AffinityLoadPolicy, Scenario: sc, Dataset: ds,
-		QPS: sat * instances / 2 * 0.9, Seed: seed, Instances: instances,
-	}, 0)
+	res, rec, err := experiments.TracedRoutingRun(rc, 0)
 	if err != nil {
 		return err
 	}

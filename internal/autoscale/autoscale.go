@@ -265,11 +265,14 @@ func (c *Controller) Size() int { return c.rt.Routable() + c.pendingAdds }
 // Stats returns the controller's activity so far.
 func (c *Controller) Stats() Stats { return c.stats }
 
-// GPUSeconds accrues and returns the GPU-seconds provisioned up to now:
-// the integral of owned GPUs (cold-starting and draining included) over
-// time since construction.
+// GPUSeconds returns the GPU-seconds provisioned up to now: the integral
+// of owned GPUs (cold-starting and draining included) over time since
+// construction. It only reads: the integral accrues at pool changes, so
+// how often telemetry samples it cannot move a bit of the result.
 func (c *Controller) GPUSeconds(now float64) float64 {
-	c.accrue(now)
+	if now > c.lastAccrual {
+		return c.gpuSeconds + float64(c.poolGPUs)*(now-c.lastAccrual)
+	}
 	return c.gpuSeconds
 }
 

@@ -301,10 +301,10 @@ func (st *stream) rearm() {
 	in := st.in
 	gap := st.gap.Next()
 	if in.cfg.HorizonSeconds > 0 {
+		// Past the horizon the stream stays armed, so Start cannot
+		// revive it.
 		if in.clock.Now()+gap <= in.cfg.HorizonSeconds {
 			in.clock.AfterFunc(gap, streamFire, st)
-		} else {
-			st.armed = false
 		}
 		return
 	}

@@ -3,58 +3,46 @@ package cluster
 import (
 	"testing"
 
-	"repro/internal/engine"
 	"repro/internal/hw"
 	"repro/internal/model"
 	"repro/internal/sched"
-	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 func TestRoutingStickyAndRoundRobin(t *testing.T) {
-	var s sim.Sim
-	cfg := engine.Config{Model: model.Llama31_8B(), GPU: hw.L4(), Sim: &s, ProfileMaxLen: 2000}
-	e1, err := engine.NewPagedAttention(cfg)
+	f, err := New(Spec{Engine: PagedAttention, Model: model.Llama31_8B(), GPU: hw.L4(),
+		ProfileMaxLen: 2000, Instances: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, err := engine.NewPagedAttention(cfg)
-	if err != nil {
-		t.Fatal(err)
+	if f.GPUSeconds(1) != 2 {
+		t.Fatalf("GPUSeconds(1) = %g, want 2", f.GPUSeconds(1))
 	}
-	c, err := New(e1, e2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.GPUs() != 2 {
-		t.Fatalf("GPUs = %d", c.GPUs())
-	}
+	c := &f.users
 	// Users assigned round robin in first-seen order; repeat users sticky.
-	if c.Route(10) != 0 || c.Route(20) != 1 || c.Route(30) != 0 {
+	if c.route(10) != 0 || c.route(20) != 1 || c.route(30) != 0 {
 		t.Fatal("round-robin assignment broken")
 	}
 	for i := 0; i < 5; i++ {
-		if c.Route(20) != 1 {
+		if c.route(20) != 1 {
 			t.Fatal("user routing not sticky")
 		}
+	}
+	// One instance tracks no users.
+	one := firstAppearance{instances: 1, maxUsers: DefaultMaxTrackedUsers}
+	for u := 0; u < 100; u++ {
+		if one.route(u) != 0 {
+			t.Fatal("single instance routed elsewhere")
+		}
+	}
+	if len(one.byUser) != 0 || one.order.Len() != 0 {
+		t.Fatalf("single instance tracked %d users", len(one.byUser))
 	}
 }
 
 func TestSubmitRoutesByUser(t *testing.T) {
-	var s sim.Sim
-	var recs []engine.Record
-	cfg := engine.Config{
-		Model: model.Llama31_8B(), GPU: hw.L4(), Sim: &s, ProfileMaxLen: 2000,
-		OnComplete: func(r engine.Record) { recs = append(recs, r) },
-	}
-	e1, err := engine.NewPagedAttention(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2, err := engine.NewPagedAttention(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := New(e1, e2)
+	f, err := New(Spec{Engine: PagedAttention, Model: model.Llama31_8B(), GPU: hw.L4(),
+		ProfileMaxLen: 2000, Instances: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,17 +53,17 @@ func TestSubmitRoutesByUser(t *testing.T) {
 		}
 		return &sched.Request{ID: id, UserID: user, Tokens: toks}
 	}
-	s.At(0, func() {
-		c.Submit(mk(1, 0))
-		c.Submit(mk(2, 1))
-		c.Submit(mk(3, 0))
-	})
-	s.Run()
+	f.Arrive([]workload.Arrival{{Req: mk(1, 0)}, {Req: mk(2, 1)}, {Req: mk(3, 0)}})
+	if _, err := f.Run(); err != nil {
+		t.Fatal(err)
+	}
+	recs := f.Records()
 	if len(recs) != 3 {
 		t.Fatalf("completed %d", len(recs))
 	}
-	// Requests 1 and 3 (user 0) on instance of e1; request 2 on e2: the
-	// two instances work concurrently, so request 2 must not wait for 1.
+	// Requests 1 and 3 (user 0) on the first instance, request 2 on the
+	// second: the two instances work concurrently, so request 2 must not
+	// wait for 1.
 	var inst1, inst2 int
 	for _, r := range recs {
 		if r.Req.UserID == 0 {
@@ -90,50 +78,37 @@ func TestSubmitRoutesByUser(t *testing.T) {
 }
 
 func TestTrackedUserBound(t *testing.T) {
-	var s sim.Sim
-	cfg := engine.Config{Model: model.Llama31_8B(), GPU: hw.L4(), Sim: &s, ProfileMaxLen: 2000}
-	e1, err := engine.NewPagedAttention(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2, err := engine.NewPagedAttention(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := New(e1, e2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SetMaxTrackedUsers(0); err == nil {
+	c := &firstAppearance{instances: 2, maxUsers: DefaultMaxTrackedUsers}
+	if err := c.setMaxTrackedUsers(0); err == nil {
 		t.Fatal("non-positive cap accepted")
 	}
-	if err := c.SetMaxTrackedUsers(3); err != nil {
+	if err := c.setMaxTrackedUsers(3); err != nil {
 		t.Fatal(err)
 	}
 	// A million distinct users must never grow the table past the cap.
 	for u := 0; u < 1_000_000; u++ {
-		c.Route(u)
-		if c.TrackedUsers() > 3 {
-			t.Fatalf("tracked users %d exceeds cap after user %d", c.TrackedUsers(), u)
+		c.route(u)
+		if len(c.byUser) > 3 {
+			t.Fatalf("tracked users %d exceeds cap after user %d", len(c.byUser), u)
 		}
 	}
-	if c.TrackedUsers() != 3 {
-		t.Fatalf("tracked users = %d, want 3", c.TrackedUsers())
+	if len(c.byUser) != 3 {
+		t.Fatalf("tracked users = %d, want 3", len(c.byUser))
 	}
 	// The most recent users are still sticky.
 	last := 999_999
-	idx := c.Route(last)
+	idx := c.route(last)
 	for i := 0; i < 5; i++ {
-		if c.Route(last) != idx {
+		if c.route(last) != idx {
 			t.Fatal("recent user lost stickiness")
 		}
 	}
 	// Shrinking the cap evicts immediately.
-	if err := c.SetMaxTrackedUsers(1); err != nil {
+	if err := c.setMaxTrackedUsers(1); err != nil {
 		t.Fatal(err)
 	}
-	if c.TrackedUsers() != 1 {
-		t.Fatalf("tracked users = %d after shrinking cap to 1", c.TrackedUsers())
+	if len(c.byUser) != 1 {
+		t.Fatalf("tracked users = %d after shrinking cap to 1", len(c.byUser))
 	}
 }
 
@@ -143,27 +118,18 @@ func TestTrackedUserBound(t *testing.T) {
 // every evicted slot. The order ring's backing array must stay bounded by
 // the cap — not by the total users ever routed.
 func TestOrderRingBoundedUnderChurnAtCap(t *testing.T) {
-	var s sim.Sim
-	cfg := engine.Config{Model: model.Llama31_8B(), GPU: hw.L4(), Sim: &s, ProfileMaxLen: 2000}
-	e1, err := engine.NewPagedAttention(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := New(e1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := &firstAppearance{instances: 2, maxUsers: DefaultMaxTrackedUsers}
 	const cap = 1000
-	if err := c.SetMaxTrackedUsers(cap); err != nil {
+	if err := c.setMaxTrackedUsers(cap); err != nil {
 		t.Fatal(err)
 	}
 	// 10x the cap of distinct users: every Route beyond the cap evicts one
 	// and appends one.
 	for u := 0; u < 10*cap; u++ {
-		c.Route(u)
+		c.route(u)
 	}
-	if c.TrackedUsers() != cap {
-		t.Fatalf("tracked users = %d, want %d", c.TrackedUsers(), cap)
+	if len(c.byUser) != cap {
+		t.Fatalf("tracked users = %d, want %d", len(c.byUser), cap)
 	}
 	if c.order.Len() != cap {
 		t.Fatalf("order ring holds %d entries, want %d", c.order.Len(), cap)
@@ -175,10 +141,23 @@ func TestOrderRingBoundedUnderChurnAtCap(t *testing.T) {
 }
 
 func TestNewRejectsEmptyAndNil(t *testing.T) {
-	if _, err := New(); err == nil {
-		t.Error("empty cluster accepted")
+	base := Spec{Engine: PagedAttention, Model: model.Llama31_8B(), GPU: hw.L4(), ProfileMaxLen: 2000, Instances: 1}
+	empty := base
+	empty.Instances = 0
+	if _, err := New(empty); err == nil {
+		t.Error("empty fleet accepted")
 	}
-	if _, err := New(nil); err == nil {
-		t.Error("nil instance accepted")
+	noModel := base
+	noModel.Model = nil
+	if _, err := New(noModel); err == nil {
+		t.Error("nil model accepted")
+	}
+	unrouted := base
+	unrouted.Chaos.CrashRate = 1
+	if _, err := New(unrouted); err == nil {
+		t.Error("chaos without a router accepted")
+	}
+	if _, err := TensorParallel.Instances(3); err == nil {
+		t.Error("odd GPU count accepted for a pair-spanning engine")
 	}
 }

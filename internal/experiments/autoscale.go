@@ -1,15 +1,12 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/autoscale"
-	"repro/internal/core"
-	"repro/internal/engine"
+	"repro/internal/cluster"
 	"repro/internal/metrics"
 	"repro/internal/router"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -95,44 +92,10 @@ func AutoscaleRun(rc AutoscaleRunConfig) (*AutoscaleRunResult, error) {
 	if rc.FixedInstances > 0 {
 		initial = rc.FixedInstances
 	}
-	clock := &sim.Sim{}
-	var recs []engine.Record
-	var rt *router.Router
-	profLen := (rc.Dataset.MaxLen/1000 + 1) * 1000
-	cfg := engine.Config{
-		Model:         rc.Scenario.Model,
-		GPU:           rc.Scenario.GPU,
-		Sim:           clock,
-		ProfileMaxLen: profLen,
-		OnComplete: func(r engine.Record) {
-			if rt != nil {
-				rt.Completed(r)
-			}
-			recs = append(recs, r)
-		},
-	}
-	// The factory serves both initial construction and mid-run scale-ups.
-	factory := func() (engine.Engine, error) {
-		return core.New(cfg, core.Options{Lambda: rc.Lambda})
-	}
-	engines := make([]engine.Engine, initial)
-	for i := range engines {
-		e, err := factory()
-		if err != nil {
-			return nil, err
-		}
-		engines[i] = e
-	}
-	var err error
-	rt, err = router.New(router.Config{
-		Policy:            router.AffinityLoad{},
-		MaxBacklogSeconds: rc.MaxBacklogSeconds,
-	}, engines...)
-	if err != nil {
-		return nil, err
-	}
-
-	var ctl *autoscale.Controller
+	spec := scenarioSpec(rc.Scenario, rc.Dataset)
+	spec.Options.Lambda = rc.Lambda
+	spec.Instances = initial
+	spec.Router = &router.Config{Policy: router.AffinityLoad{}, MaxBacklogSeconds: rc.MaxBacklogSeconds}
 	mode := fmt.Sprintf("fixed-%d", initial)
 	if rc.FixedInstances <= 0 {
 		ccfg := rc.Controller
@@ -140,49 +103,23 @@ func AutoscaleRun(rc AutoscaleRunConfig) (*AutoscaleRunResult, error) {
 		ccfg.MaxInstances = rc.MaxInstances
 		ccfg.Model = rc.Scenario.Model
 		ccfg.GPU = rc.Scenario.GPU
-		ctl, err = autoscale.New(ccfg, clock, rt, factory)
-		if err != nil {
-			return nil, err
-		}
-		ctl.Start()
+		spec.Autoscale = &ccfg
 		mode = fmt.Sprintf("autoscale-%d:%d", rc.MinInstances, rc.MaxInstances)
 	}
-
+	f, err := cluster.New(spec)
+	if err != nil {
+		return nil, err
+	}
 	arrivals, err := workload.AssignOpenLoopArrivals(rc.Dataset, rc.Rate, rc.MaxRate, rc.Seed)
 	if err != nil {
 		return nil, err
 	}
-	rejected := 0
-	var submitErr error
-	for _, a := range arrivals {
-		a := a
-		clock.At(a.Time, func() {
-			err := rt.Submit(a.Req)
-			if err == nil {
-				return
-			}
-			var rej *router.RejectError
-			if errors.As(err, &rej) {
-				rejected++
-			} else if submitErr == nil {
-				submitErr = err
-			}
-		})
+	f.Arrive(arrivals)
+	end, err := f.Run()
+	if err != nil {
+		return nil, err
 	}
-	end := clock.Run()
-	if submitErr != nil {
-		return nil, submitErr
-	}
-	if ctl != nil {
-		if err := ctl.Err(); err != nil {
-			return nil, err
-		}
-	}
-	if len(recs)+rejected != len(rc.Dataset.Requests) {
-		return nil, fmt.Errorf("experiments: %d completed + %d rejected of %d requests",
-			len(recs), rejected, len(rc.Dataset.Requests))
-	}
-
+	recs, rejected := f.Records(), f.Rejected()
 	res := &AutoscaleRunResult{
 		Mode:            mode,
 		Dataset:         rc.Dataset.Name,
@@ -194,18 +131,28 @@ func AutoscaleRun(rc AutoscaleRunConfig) (*AutoscaleRunResult, error) {
 		TroughInstances: initial,
 	}
 	_, res.Latency, res.ThroughputRPS = latencyStats(recs)
-	if ctl != nil {
+	res.GPUSeconds = f.GPUSeconds(end)
+	if ctl := f.Controller(); ctl != nil {
 		st := ctl.Stats()
-		res.GPUSeconds = ctl.GPUSeconds(end)
 		res.PeakInstances = st.PeakInstances
 		res.TroughInstances = st.MinInstances
 		res.ScaleUps = st.ScaleUps
 		res.ScaleDowns = st.ScaleDowns
 		res.ColdStartSeconds = st.ColdStartSeconds
-	} else {
-		res.GPUSeconds = float64(rt.GPUs()) * end
 	}
 	return res, nil
+}
+
+// elasticDataset is the Zipf-skewed workload the autoscale and chaos
+// sweeps offer their elastic pools; small scales it down.
+func elasticDataset(seed int64, small bool) *workload.Dataset {
+	if small {
+		return workload.Skewed(workload.SkewedConfig{
+			Users: 24, Requests: 144, ProfileMean: 3000, ProfileStd: 800,
+			ProfileMin: 1500, ProfileMax: 5000, Seed: seed,
+		})
+	}
+	return workload.Skewed(workload.SkewedConfig{Seed: seed})
 }
 
 // AutoscaleSweepRow is one mode of the fixed-vs-elastic comparison.
@@ -260,15 +207,7 @@ func AutoscaleSweepParallel(seed int64, small bool, parallel int) ([]AutoscaleSw
 		minInst, bound = 2, 12.0
 	}
 	const maxInst = 4
-	mkDataset := func() *workload.Dataset {
-		if small {
-			return workload.Skewed(workload.SkewedConfig{
-				Users: 24, Requests: 144, ProfileMean: 3000, ProfileStd: 800,
-				ProfileMin: 1500, ProfileMax: 5000, Seed: seed,
-			})
-		}
-		return workload.Skewed(workload.SkewedConfig{Seed: seed})
-	}
+	mkDataset := func() *workload.Dataset { return elasticDataset(seed, small) }
 	// Per-instance saturation: SaturationQPS measures the default
 	// two-instance cluster. One cell — the runner still times it so the
 	// sweep's serial-equivalent accounting covers the whole sweep.

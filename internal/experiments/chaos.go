@@ -1,17 +1,13 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/autoscale"
 	"repro/internal/chaos"
-	"repro/internal/core"
-	"repro/internal/engine"
+	"repro/internal/cluster"
 	"repro/internal/metrics"
 	"repro/internal/router"
-	"repro/internal/sched"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -96,100 +92,34 @@ func ChaosRun(rc ChaosRunConfig) (*ChaosRunResult, error) {
 	if err := rc.defaults(); err != nil {
 		return nil, err
 	}
-	clock := &sim.Sim{}
-	var recs []engine.Record
-	var rt *router.Router
-	profLen := (rc.Dataset.MaxLen/1000 + 1) * 1000
-	cfg := engine.Config{
-		Model:         rc.Scenario.Model,
-		GPU:           rc.Scenario.GPU,
-		Sim:           clock,
-		ProfileMaxLen: profLen,
-		OnComplete: func(r engine.Record) {
-			if rt != nil {
-				rt.Completed(r)
-			}
-			recs = append(recs, r)
-		},
-	}
-	factory := func() (engine.Engine, error) {
-		return core.New(cfg, core.Options{Lambda: rc.Lambda})
-	}
-	engines := make([]engine.Engine, rc.MinInstances)
-	for i := range engines {
-		e, err := factory()
-		if err != nil {
-			return nil, err
-		}
-		engines[i] = e
-	}
-	var err error
-	rt, err = router.New(router.Config{
-		Policy:            router.AffinityLoad{},
-		MaxBacklogSeconds: rc.MaxBacklogSeconds,
-	}, engines...)
-	if err != nil {
-		return nil, err
-	}
-
-	ctl, err := autoscale.New(autoscale.Config{
-		MinInstances: rc.MinInstances,
-		MaxInstances: rc.MaxInstances,
-		Model:        rc.Scenario.Model,
-		GPU:          rc.Scenario.GPU,
-	}, clock, rt, factory)
-	if err != nil {
-		return nil, err
-	}
-	ctl.Start()
-
 	qps := rc.QPS
 	arrivals, err := workload.AssignOpenLoopArrivals(rc.Dataset,
 		func(float64) float64 { return qps }, qps, rc.Seed)
 	if err != nil {
 		return nil, err
 	}
+	spec := scenarioSpec(rc.Scenario, rc.Dataset)
+	spec.Options.Lambda = rc.Lambda
+	spec.Instances = rc.MinInstances
+	spec.Router = &router.Config{Policy: router.AffinityLoad{}, MaxBacklogSeconds: rc.MaxBacklogSeconds}
+	spec.Autoscale = &autoscale.Config{MinInstances: rc.MinInstances, MaxInstances: rc.MaxInstances}
 	// Bound fault injection to the arrival window so the run drains:
 	// faults land while traffic flows, then the streams stop for good.
-	ccfg := rc.Chaos
-	if ccfg.HorizonSeconds <= 0 && len(arrivals) > 0 {
-		ccfg.HorizonSeconds = arrivals[len(arrivals)-1].Time
+	spec.Chaos = rc.Chaos
+	if spec.Chaos.HorizonSeconds <= 0 && len(arrivals) > 0 {
+		spec.Chaos.HorizonSeconds = arrivals[len(arrivals)-1].Time
 	}
-	orphanShed := 0
-	inj := chaos.New(ccfg, clock, rt, chaos.Options{
-		Controller: ctl,
-		OnShed:     func(*sched.Request, *router.RejectError) { orphanShed++ },
-	})
-	rejected := 0
-	var submitErr error
-	for _, a := range arrivals {
-		a := a
-		clock.At(a.Time, func() {
-			err := rt.Submit(a.Req)
-			if err == nil {
-				return
-			}
-			var rej *router.RejectError
-			if errors.As(err, &rej) {
-				rejected++
-			} else if submitErr == nil {
-				submitErr = err
-			}
-		})
-	}
-	inj.Start()
-	end := clock.Run()
-	if submitErr != nil {
-		return nil, submitErr
-	}
-	if err := ctl.Err(); err != nil {
+	f, err := cluster.New(spec)
+	if err != nil {
 		return nil, err
 	}
-	if len(recs)+rejected+orphanShed != len(rc.Dataset.Requests) {
-		return nil, fmt.Errorf("experiments: %d completed + %d rejected + %d orphan-shed of %d requests",
-			len(recs), rejected, orphanShed, len(rc.Dataset.Requests))
+	f.Arrive(arrivals)
+	end, err := f.Run()
+	if err != nil {
+		return nil, err
 	}
-
+	recs, rejected, orphanShed := f.Records(), f.Rejected(), f.OrphanShed()
+	ctl := f.Controller()
 	st := ctl.Stats()
 	res := &ChaosRunResult{
 		Mode:            "chaos",
@@ -200,7 +130,7 @@ func ChaosRun(rc ChaosRunConfig) (*ChaosRunResult, error) {
 		ShedRate:        float64(rejected+orphanShed) / float64(len(rc.Dataset.Requests)),
 		MakespanSeconds: end,
 		GPUSeconds:      ctl.GPUSeconds(end),
-		Faults:          inj.Stats(),
+		Faults:          f.Injector().Stats(),
 		ScaleUps:        st.ScaleUps,
 		Revives:         st.Revives,
 		Lost:            st.Lost,
@@ -258,15 +188,7 @@ func ChaosSweepParallel(seed int64, small bool, parallel int) ([]ChaosSweepRow, 
 	if err != nil {
 		return nil, CellStats{}, err
 	}
-	mkDataset := func() *workload.Dataset {
-		if small {
-			return workload.Skewed(workload.SkewedConfig{
-				Users: 24, Requests: 144, ProfileMean: 3000, ProfileStd: 800,
-				ProfileMin: 1500, ProfileMax: 5000, Seed: seed,
-			})
-		}
-		return workload.Skewed(workload.SkewedConfig{Seed: seed})
-	}
+	mkDataset := func() *workload.Dataset { return elasticDataset(seed, small) }
 	// Load the floor fleet at ~60% of saturation: enough headroom that the
 	// failure-free baseline sheds (almost) nothing, so any degradation in
 	// the fault rows is attributable to the faults.

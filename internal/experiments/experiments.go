@@ -9,40 +9,38 @@ import (
 	"math"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/hw"
 	"repro/internal/metrics"
 	"repro/internal/model"
-	"repro/internal/sched"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
-// scheduleArrivals schedules a dataset onto the clock through submit:
-// Poisson arrivals at qps > 0, or closed-loop saturation (everything at
-// t=0) otherwise.
-func scheduleArrivals(s *sim.Sim, ds *workload.Dataset, qps float64, seed int64, submit func(*sched.Request)) error {
-	if qps > 0 {
-		arrivals, err := workload.AssignPoissonArrivals(ds, qps, seed)
-		if err != nil {
-			return err
-		}
-		for _, a := range arrivals {
-			a := a
-			s.At(a.Time, func() { submit(a.Req) })
+// scenarioSpec is the fleet spec every sweep starts from: the
+// scenario's model and GPU, profiled to the dataset's longest request
+// rounded up to the next thousand tokens.
+func scenarioSpec(sc Scenario, ds *workload.Dataset) cluster.Spec {
+	return cluster.Spec{
+		Model:         sc.Model,
+		GPU:           sc.GPU,
+		ProfileMaxLen: (ds.MaxLen/1000 + 1) * 1000,
+	}
+}
+
+// arrive schedules a dataset onto the fleet: Poisson arrivals at qps > 0,
+// or closed-loop saturation (everything at t=0) otherwise.
+func arrive(f *cluster.Fleet, ds *workload.Dataset, qps float64, seed int64) error {
+	if qps <= 0 {
+		for _, r := range ds.Requests {
+			f.ArriveAt(0, r)
 		}
 		return nil
 	}
-	for _, r := range ds.Requests {
-		r.ArrivalTime = 0
+	arrivals, err := workload.AssignPoissonArrivals(ds, qps, seed)
+	if err != nil {
+		return err
 	}
-	reqs := ds.Requests
-	s.At(0, func() {
-		for _, r := range reqs {
-			submit(r)
-		}
-	})
+	f.Arrive(arrivals)
 	return nil
 }
 
@@ -64,64 +62,21 @@ func latencyStats(recs []engine.Record) (lats []float64, sum metrics.Summary, tp
 	return lats, sum, tputRPS
 }
 
-// clusterHitRate aggregates prefix-cache hit rate across engines.
-func clusterHitRate(engines []engine.Engine) float64 {
-	var lookup, hit int64
-	for _, e := range engines {
-		if c := e.Cache(); c != nil {
-			st := c.Stats()
-			lookup += st.LookupTokens
-			hit += st.HitTokens
-		}
-	}
-	if lookup == 0 {
-		return 0
-	}
-	return float64(hit) / float64(lookup)
-}
-
 // EngineKind enumerates the five systems of Figure 6.
-type EngineKind int
+type EngineKind = cluster.EngineKind
 
+// The compared systems.
 const (
-	// PrefillOnly is the paper's engine (internal/core).
-	PrefillOnly EngineKind = iota
-	// PagedAttention is the vLLM baseline.
-	PagedAttention
-	// ChunkedPrefill is the Sarathi-Serve baseline.
-	ChunkedPrefill
-	// PipelineParallel is the PP=2 baseline.
-	PipelineParallel
-	// TensorParallel is the TP=2 baseline.
-	TensorParallel
+	PrefillOnly      = cluster.PrefillOnly
+	PagedAttention   = cluster.PagedAttention
+	ChunkedPrefill   = cluster.ChunkedPrefill
+	PipelineParallel = cluster.PipelineParallel
+	TensorParallel   = cluster.TensorParallel
 )
-
-// String returns the engine's display name.
-func (k EngineKind) String() string {
-	switch k {
-	case PrefillOnly:
-		return "PrefillOnly"
-	case PagedAttention:
-		return "PagedAttention"
-	case ChunkedPrefill:
-		return "ChunkedPrefill"
-	case PipelineParallel:
-		return "PipelineParallel"
-	case TensorParallel:
-		return "TensorParallel"
-	default:
-		return fmt.Sprintf("engine(%d)", int(k))
-	}
-}
 
 // AllEngines returns the five compared systems in the paper's legend order.
 func AllEngines() []EngineKind {
 	return []EngineKind{PrefillOnly, PagedAttention, ChunkedPrefill, PipelineParallel, TensorParallel}
-}
-
-// Parallel reports whether the engine spans both GPUs of a scenario.
-func (k EngineKind) Parallel() bool {
-	return k == PipelineParallel || k == TensorParallel
 }
 
 // Scenario is one hardware/model row of Table 3.
@@ -223,87 +178,41 @@ type RunResult struct {
 	Records []engine.Record
 }
 
-// buildCluster constructs the engine instances for a run on s and returns
-// the cluster; completions flow into onComplete.
-func buildCluster(rc RunConfig, s *sim.Sim, onComplete func(engine.Record)) (*cluster.Cluster, error) {
-	totalGPUs := rc.TotalGPUs
-	if totalGPUs <= 0 {
-		totalGPUs = 2
-	}
-	profLen := (rc.Dataset.MaxLen/1000 + 1) * 1000
-	cfg := engine.Config{
-		Model:         rc.Scenario.Model,
-		GPU:           rc.Scenario.GPU,
-		Sim:           s,
-		ProfileMaxLen: profLen,
-		OnComplete:    onComplete,
-	}
-	var engines []engine.Engine
-	if rc.Kind.Parallel() {
-		for g := 0; g < totalGPUs/2; g++ {
-			var e engine.Engine
-			var err error
-			if rc.Kind == TensorParallel {
-				e, err = engine.NewTensorParallel(cfg)
-			} else {
-				e, err = engine.NewPipelineParallel(cfg)
-			}
-			if err != nil {
-				return nil, err
-			}
-			engines = append(engines, e)
-		}
-	} else {
-		for g := 0; g < totalGPUs; g++ {
-			var e engine.Engine
-			var err error
-			switch rc.Kind {
-			case PrefillOnly:
-				e, err = core.New(cfg, core.Options{Lambda: rc.Lambda})
-			case PagedAttention:
-				e, err = engine.NewPagedAttention(cfg)
-			case ChunkedPrefill:
-				e, err = engine.NewChunkedPrefill(cfg, 0)
-			default:
-				err = fmt.Errorf("experiments: unknown engine kind %v", rc.Kind)
-			}
-			if err != nil {
-				return nil, err
-			}
-			engines = append(engines, e)
-		}
-	}
-	return cluster.New(engines...)
-}
-
 // Run executes one serving run to completion and aggregates it.
 func Run(rc RunConfig) (*RunResult, error) {
 	if rc.Dataset == nil {
 		return nil, fmt.Errorf("experiments: RunConfig.Dataset is required")
 	}
-	s := &sim.Sim{}
-	var recs []engine.Record
-	cl, err := buildCluster(rc, s, func(r engine.Record) { recs = append(recs, r) })
+	gpus := rc.TotalGPUs
+	if gpus <= 0 {
+		gpus = 2
+	}
+	spec := scenarioSpec(rc.Scenario, rc.Dataset)
+	spec.Engine = rc.Kind
+	spec.Options.Lambda = rc.Lambda
+	var err error
+	if spec.Instances, err = rc.Kind.Instances(gpus); err != nil {
+		return nil, err
+	}
+	f, err := cluster.New(spec)
 	if err != nil {
 		return nil, err
 	}
-
-	if err := scheduleArrivals(s, rc.Dataset, rc.QPS, rc.Seed, cl.Submit); err != nil {
+	if err := arrive(f, rc.Dataset, rc.QPS, rc.Seed); err != nil {
 		return nil, err
 	}
-	s.Run()
-
-	if len(recs) != len(rc.Dataset.Requests) {
-		return nil, fmt.Errorf("experiments: %d of %d requests completed", len(recs), len(rc.Dataset.Requests))
+	if _, err := f.Run(); err != nil {
+		return nil, err
 	}
+	recs := f.Records()
 	res := &RunResult{
-		Kind:     rc.Kind,
-		Scenario: rc.Scenario.Name,
-		Dataset:  rc.Dataset.Name,
-		QPS:      rc.QPS,
-		Records:  recs,
+		Kind:      rc.Kind,
+		Scenario:  rc.Scenario.Name,
+		Dataset:   rc.Dataset.Name,
+		QPS:       rc.QPS,
+		Completed: len(recs),
+		Records:   recs,
 	}
-	res.Completed = len(recs)
 	res.Latencies, res.Latency, res.ThroughputRPS = latencyStats(recs)
 	infeasible := 0
 	for _, r := range recs {
@@ -312,7 +221,7 @@ func Run(rc RunConfig) (*RunResult, error) {
 		}
 	}
 	res.InfeasibleFrac = float64(infeasible) / float64(len(recs))
-	res.CacheHitRate = clusterHitRate(cl.Instances())
+	res.CacheHitRate = f.CacheHitRate()
 	return res, nil
 }
 

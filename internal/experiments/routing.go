@@ -1,16 +1,12 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
-	"repro/internal/core"
-	"repro/internal/engine"
+	"repro/internal/cluster"
 	"repro/internal/metrics"
 	"repro/internal/router"
-	"repro/internal/sched"
-	"repro/internal/sim"
 	"repro/internal/timeseries"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -69,7 +65,7 @@ type RoutingRunConfig struct {
 	// paths leave it nil so their cells stay deterministic and lean.
 	Tracer *trace.Recorder
 	// Timeseries, when non-nil, collects the run's windowed series. The
-	// run installs its own gauge sampler and boundary ticker on the
+	// fleet installs its gauge sampler and window ticker on the
 	// collector; callers just construct it with the interval they want.
 	Timeseries *timeseries.Collector
 }
@@ -109,6 +105,38 @@ func TracedRoutingRun(rc RoutingRunConfig, maxSpans int) (*RoutingRunResult, *tr
 	return res, rc.Tracer, err
 }
 
+// TimeseriesRoutingRun is RoutingRun with a fresh windowed time-series
+// collector attached (intervalSeconds <= 0 takes the default window):
+// one instrumented run whose per-window throughput, arrival and shed
+// rates, latency quantiles, fleet gauges and SLO burn rate land in the
+// returned collector, ready for WriteJSON/WriteCSV. The collector never
+// perturbs the run — results are bit-identical with it detached.
+func TimeseriesRoutingRun(rc RoutingRunConfig, intervalSeconds float64) (*RoutingRunResult, *timeseries.Collector, error) {
+	rc.Timeseries = timeseries.New(timeseries.Config{IntervalSeconds: intervalSeconds})
+	res, err := RoutingRun(rc)
+	return res, rc.Timeseries, err
+}
+
+// InstrumentedRoutingConfig is the routing run prefillbench's -trace and
+// -timeseries flags instrument: AffinityLoad over four PrefillOnly
+// instances on the Zipf-skewed dataset at 90% of its saturation.
+func InstrumentedRoutingConfig(seed int64, small bool) (RoutingRunConfig, error) {
+	sc, err := ScenarioByName("L4")
+	if err != nil {
+		return RoutingRunConfig{}, err
+	}
+	const instances = 4
+	ds := RoutingDatasets(seed, small)[0]
+	sat, err := SaturationQPS(PrefillOnly, sc, ds.Clone())
+	if err != nil {
+		return RoutingRunConfig{}, fmt.Errorf("saturation on %s: %w", ds.Name, err)
+	}
+	return RoutingRunConfig{
+		Policy: AffinityLoadPolicy, Scenario: sc, Dataset: ds,
+		QPS: sat * instances / 2 * 0.9, Seed: seed, Instances: instances,
+	}, nil
+}
+
 // RoutingRunPolicy is RoutingRun with an arbitrary (possibly custom)
 // router policy; rc.Policy is ignored.
 func RoutingRunPolicy(rc RoutingRunConfig, pol router.Policy) (*RoutingRunResult, error) {
@@ -119,114 +147,34 @@ func RoutingRunPolicy(rc RoutingRunConfig, pol router.Policy) (*RoutingRunResult
 	if instances <= 0 {
 		instances = 4
 	}
-	clock := &sim.Sim{}
-	var recs []engine.Record
-	var rt *router.Router
-	profLen := (rc.Dataset.MaxLen/1000 + 1) * 1000
-	cfg := engine.Config{
-		Model:         rc.Scenario.Model,
-		GPU:           rc.Scenario.GPU,
-		Sim:           clock,
-		ProfileMaxLen: profLen,
-		Tracer:        rc.Tracer,
-		OnComplete: func(r engine.Record) {
-			if rt != nil {
-				rt.Completed(r)
-			}
-			recs = append(recs, r)
-			rc.Timeseries.Complete(r.Finish, r.Req.Class, r.Latency())
-		},
-	}
-	engines := make([]engine.Engine, instances)
-	for i := range engines {
-		e, err := core.New(cfg, core.Options{Lambda: rc.Lambda})
-		if err != nil {
-			return nil, err
-		}
-		engines[i] = e
-	}
-	admission := &metrics.Admission{}
-	rt, err := router.New(router.Config{
-		Policy:            pol,
-		MaxBacklogSeconds: rc.MaxBacklogSeconds,
-		Admission:         admission,
-		Tracer:            rc.Tracer,
-	}, engines...)
+	spec := scenarioSpec(rc.Scenario, rc.Dataset)
+	spec.Options.Lambda = rc.Lambda
+	spec.Instances = instances
+	spec.Router = &router.Config{Policy: pol, MaxBacklogSeconds: rc.MaxBacklogSeconds}
+	spec.Tracer = rc.Tracer
+	spec.TraceSampleSeconds = 0.5
+	spec.Timeseries = rc.Timeseries
+	f, err := cluster.New(spec)
 	if err != nil {
 		return nil, err
 	}
-
-	if rc.Timeseries != nil {
-		instCount := instances
-		rc.Timeseries.SetSample(func(now float64) timeseries.Gauges {
-			var g timeseries.Gauges
-			for _, info := range rt.InstanceInfos() {
-				g.QueuedRequests += info.Load.QueuedRequests
-				g.BacklogSeconds += info.Load.BacklogSeconds
-			}
-			g.PoolSize = rt.Routable()
-			g.CacheHitRatio = clusterHitRate(engines)
-			g.GPUSeconds = now * float64(instCount)
-			return g
-		})
-		rc.Timeseries.Attach(clock)
-	}
-
-	rejected := 0
-	var submitErr error
-	submit := func(r *sched.Request) {
-		rc.Timeseries.Arrival(clock.Now(), r.Class)
-		rc.Timeseries.Start()
-		err := rt.Submit(r)
-		if err == nil {
-			return
-		}
-		// Only admission sheds count as rejections; anything else (e.g.
-		// a custom policy picking an out-of-range instance) is a
-		// programming error that must fail the run, not masquerade as
-		// load shedding.
-		var rej *router.RejectError
-		if errors.As(err, &rej) {
-			rejected++
-			rc.Timeseries.Reject(clock.Now(), rej.Class, rej.Reason)
-		} else if submitErr == nil {
-			submitErr = err
-		}
-	}
-	if err := scheduleArrivals(clock, rc.Dataset, rc.QPS, rc.Seed, submit); err != nil {
+	if err := arrive(f, rc.Dataset, rc.QPS, rc.Seed); err != nil {
 		return nil, err
 	}
-	if rc.Tracer != nil {
-		// Fleet gauges on sim ticks: router loads, pool size, cache
-		// residency. Armed after arrivals are scheduled so the sampler's
-		// drain discipline (stop when no other events remain) holds.
-		trace.NewSampler(clock, 0.5, func(now float64) {
-			for _, info := range rt.InstanceInfos() {
-				rc.Tracer.LoadGauge(now, info.ID, info.Load.QueuedRequests, info.Load.BacklogSeconds)
-			}
-			rc.Tracer.PoolGauge(now, rt.Routable(), 0)
-			rc.Tracer.SampleCaches(now)
-		}).Start()
+	if _, err := f.Run(); err != nil {
+		return nil, err
 	}
-	clock.Run()
-
-	if submitErr != nil {
-		return nil, submitErr
-	}
-	if len(recs)+rejected != len(rc.Dataset.Requests) {
-		return nil, fmt.Errorf("experiments: %d completed + %d rejected of %d requests",
-			len(recs), rejected, len(rc.Dataset.Requests))
-	}
+	rt := f.Router()
 	res := &RoutingRunResult{
-		Policy:    pol.Name(),
-		Dataset:   rc.Dataset.Name,
-		QPS:       rc.QPS,
-		Completed: len(recs),
-		Rejected:  rejected,
-		Admission: admission.Policy(pol.Name()),
+		Policy:       pol.Name(),
+		Dataset:      rc.Dataset.Name,
+		QPS:          rc.QPS,
+		Completed:    len(f.Records()),
+		Rejected:     f.Rejected(),
+		Admission:    rt.Admission().Policy(pol.Name()),
+		CacheHitRate: f.CacheHitRate(),
 	}
-	_, res.Latency, res.ThroughputRPS = latencyStats(recs)
-	res.CacheHitRate = clusterHitRate(engines)
+	_, res.Latency, res.ThroughputRPS = latencyStats(f.Records())
 	minTok, maxTok := int64(math.MaxInt64), int64(0)
 	for _, l := range rt.Loads() {
 		res.RoutedTokens = append(res.RoutedTokens, l.RoutedTokens)

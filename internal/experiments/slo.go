@@ -19,15 +19,12 @@ package experiments
 // goodput and batch shed.
 
 import (
-	"errors"
 	"fmt"
 
-	"repro/internal/core"
-	"repro/internal/engine"
+	"repro/internal/cluster"
 	"repro/internal/metrics"
 	"repro/internal/router"
 	"repro/internal/sched"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -101,47 +98,20 @@ func SLORun(rc SLORunConfig) (*SLORunResult, error) {
 	if err := rc.defaults(); err != nil {
 		return nil, err
 	}
-	clock := &sim.Sim{}
-	var recs []engine.Record
-	var rt *router.Router
-	profLen := (rc.Dataset.MaxLen/1000 + 1) * 1000
-	cfg := engine.Config{
-		Model:         rc.Scenario.Model,
-		GPU:           rc.Scenario.GPU,
-		Sim:           clock,
-		ProfileMaxLen: profLen,
-		OnComplete: func(r engine.Record) {
-			if rt != nil {
-				rt.Completed(r)
-			}
-			recs = append(recs, r)
-		},
-	}
-	opts := core.Options{Lambda: rc.Lambda}
+	spec := scenarioSpec(rc.Scenario, rc.Dataset)
+	spec.Options.Lambda = rc.Lambda
 	if rc.BatchWeight > 1 {
-		opts.ClassWeights = map[sched.Class]float64{sched.ClassBatch: rc.BatchWeight}
+		spec.Options.ClassWeights = map[sched.Class]float64{sched.ClassBatch: rc.BatchWeight}
 	}
-	engines := make([]engine.Engine, rc.Instances)
-	for i := range engines {
-		e, err := core.New(cfg, opts)
-		if err != nil {
-			return nil, err
-		}
-		engines[i] = e
-	}
-	rcfg := router.Config{
-		Policy:            router.AffinityLoad{},
-		MaxBacklogSeconds: rc.MaxBacklogSeconds,
-	}
+	spec.Instances = rc.Instances
+	spec.Router = &router.Config{Policy: router.AffinityLoad{}, MaxBacklogSeconds: rc.MaxBacklogSeconds}
 	if rc.BatchBacklogSeconds > 0 {
-		rcfg.ClassBacklogSeconds = map[sched.Class]float64{sched.ClassBatch: rc.BatchBacklogSeconds}
+		spec.Router.ClassBacklogSeconds = map[sched.Class]float64{sched.ClassBatch: rc.BatchBacklogSeconds}
 	}
-	var err error
-	rt, err = router.New(rcfg, engines...)
+	f, err := cluster.New(spec)
 	if err != nil {
 		return nil, err
 	}
-
 	arrivals, err := workload.AssignOpenLoopArrivals(rc.Dataset, rc.Rate, rc.MaxRate, rc.Seed)
 	if err != nil {
 		return nil, err
@@ -150,42 +120,21 @@ func SLORun(rc SLORunConfig) (*SLORunResult, error) {
 	if rc.classAware() {
 		res.Mode = "class-aware"
 	}
-	var submitErr error
 	for _, a := range arrivals {
-		a := a
 		if a.Req.Class == sched.ClassBatch {
 			res.BatchOffered++
 		} else {
 			res.InteractiveOffered++
 		}
-		clock.At(a.Time, func() {
-			err := rt.Submit(a.Req)
-			if err == nil {
-				return
-			}
-			var rej *router.RejectError
-			if !errors.As(err, &rej) {
-				if submitErr == nil {
-					submitErr = err
-				}
-				return
-			}
-			if rej.Class == sched.ClassBatch {
-				res.BatchShed++
-			} else {
-				res.InteractiveShed++
-			}
-		})
 	}
-	end := clock.Run()
-	if submitErr != nil {
-		return nil, submitErr
+	f.Arrive(arrivals)
+	end, err := f.Run()
+	if err != nil {
+		return nil, err
 	}
-	shed := res.BatchShed + res.InteractiveShed
-	if len(recs)+shed != len(rc.Dataset.Requests) {
-		return nil, fmt.Errorf("experiments: %d completed + %d shed of %d requests",
-			len(recs), shed, len(rc.Dataset.Requests))
-	}
+	res.BatchShed = f.RejectedClass(sched.ClassBatch)
+	res.InteractiveShed = f.Rejected() - res.BatchShed
+	recs := f.Records()
 
 	var interLats, batchLats []float64
 	var batchTokens int64
@@ -201,7 +150,7 @@ func SLORun(rc SLORunConfig) (*SLORunResult, error) {
 	res.Batch = metrics.Summarize(batchLats)
 	res.Completed = len(recs)
 	res.MakespanSeconds = end
-	res.GPUSeconds = float64(rt.GPUs()) * end
+	res.GPUSeconds = f.GPUSeconds(end)
 	if end > 0 {
 		res.BatchGoodputTPS = float64(batchTokens) / end
 	}

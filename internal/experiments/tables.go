@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/model"
-	"repro/internal/workload"
 )
 
 // Table1Row summarizes one dataset (paper Table 1).
@@ -160,17 +159,6 @@ func Table3() []Table3Row {
 		})
 	}
 	return out
-}
-
-// DatasetForScenario truncates WL2 histories for unit tests that need a
-// smaller population; the full paper datasets come from DatasetKind.Generate.
-func DatasetForScenario(kind DatasetKind, users int, seed int64) *workload.Dataset {
-	switch kind {
-	case CreditVerification:
-		return workload.CreditVerification(workload.CreditVerificationConfig{Users: users, Seed: seed})
-	default:
-		return workload.PostRecommendation(workload.PostRecommendationConfig{Users: users, Seed: seed})
-	}
 }
 
 // modelForFigure10 is the Figure-10 ablation model (Qwen-2.5-32B FP8).

@@ -56,25 +56,14 @@ func gaugeLines(t *testing.T, rec *trace.Recorder) []byte {
 	return buf.Bytes()
 }
 
-// telemetryRoutingConfig is the run prefillbench's -exp routing -small
-// -trace and -timeseries flags instrument: AffinityLoad over four
-// PrefillOnly instances on the Zipf-skewed dataset at 90% of saturation.
+// telemetryRoutingConfig is the instrumented -small routing run.
 func telemetryRoutingConfig(t *testing.T) RoutingRunConfig {
 	t.Helper()
-	sc, err := ScenarioByName("L4")
+	rc, err := InstrumentedRoutingConfig(1, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const seed, instances = 1, 4
-	ds := RoutingDatasets(seed, true)[0]
-	sat, err := SaturationQPS(PrefillOnly, sc, ds.Clone())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return RoutingRunConfig{
-		Policy: AffinityLoadPolicy, Scenario: sc, Dataset: ds.Clone(),
-		QPS: sat * instances / 2 * 0.9, Seed: seed, Instances: instances,
-	}
+	return rc
 }
 
 // TestTelemetryGolden pins the routing run's exported time series and its

@@ -8,25 +8,25 @@ import (
 
 // HotPathAlloc guards the zero-alloc event discipline:
 //
-//  1. In the scheduling hot-path packages (engine, sched), passing a
-//     function literal or a bound method value to any sim-package
-//     scheduling call allocates a closure per event — the PR 5
-//     regression vector that the AtFunc/AfterFunc fast path (package-
-//     level callback + payload argument) exists to avoid.
+//  1. In the scheduling hot-path packages (cluster, engine, sched),
+//     passing a function literal or a bound method value to any
+//     sim-package scheduling call allocates a closure per event — the
+//     PR 5 regression vector that the AtFunc/AfterFunc fast path
+//     (package-level callback + payload argument) exists to avoid.
 //  2. In the whole deterministic core, importing container/heap is
 //     flagged outside HeapAllowedPackages: its interface-typed Push/Pop
 //     box every element, which is why both the sim event heap and the
 //     sched indexed heap are hand-rolled value heaps.
 var HotPathAlloc = &Analyzer{
 	Name: "hotpathalloc",
-	Doc: "flag closure arguments to sim scheduling calls in engine/sched " +
+	Doc: "flag closure arguments to sim scheduling calls in cluster/engine/sched " +
 		"and container/heap imports in the deterministic core",
 	Run: runHotPathAlloc,
 }
 
 // schedulingFuncs are the sim-package calls that enqueue events.
 var schedulingFuncs = map[string]bool{
-	"At": true, "After": true, "AtFunc": true, "AfterFunc": true,
+	"At": true, "After": true, "AtFunc": true, "AfterFunc": true, "ObserveAt": true,
 }
 
 func runHotPathAlloc(pass *Pass) {

@@ -2,8 +2,9 @@
 // across engine instances by live load and prefix-cache affinity, and sheds
 // load when an instance's backlog exceeds an admission bound.
 //
-// It supersedes internal/cluster's static §7.1 user-id round-robin. The
-// router tracks, per instance, the requests and tokens it has routed but
+// internal/cluster assembles it in front of a fleet when a router config
+// is given; without one the fleet keeps the paper's static §7.1 user-id
+// round-robin. The router tracks, per instance, the requests and tokens it has routed but
 // not yet seen complete, plus an estimated backlog in seconds computed with
 // the instance's JCT estimator (the same estimator PrefillOnly's calibrated
 // scheduler uses). Routing policies are pluggable behind the Policy

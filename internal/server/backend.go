@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/autoscale"
 	"repro/internal/chaos"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/metrics"
@@ -55,13 +56,10 @@ type Backend struct {
 	Speedup float64
 
 	mu      sync.Mutex
+	fleet   *cluster.Fleet
 	sim     *sim.Sim
-	engines []*core.Engine
-	rt      *router.Router        // nil in single-engine mode
-	ctl     *autoscale.Controller // nil without autoscaling
 	rec     *trace.Recorder       // nil unless tracing enabled
 	ts      *timeseries.Collector // nil unless EnableTimeseries was called
-	inj     *chaos.Injector       // nil unless EnableChaos armed faults
 	started time.Time
 	nextID  int64
 	waiters map[int64]chan Result
@@ -80,47 +78,14 @@ type Backend struct {
 
 // gaugeSampleTicks is how many ~1 ms clock-loop iterations pass between
 // flight-recorder gauge samples (the served path samples on the wall
-// clock; batch runs sample on sim ticks via trace.Sampler instead).
+// clock; batch runs sample on sim ticks instead).
 const gaugeSampleTicks = 100
 
-// newBackendBase builds the engine-independent backend shell.
-func newBackendBase(speedup float64) *Backend {
-	if speedup <= 0 {
-		speedup = 1000
-	}
-	b := &Backend{
-		Tokenizer: tokenizer.New(),
-		Speedup:   speedup,
-		sim:       &sim.Sim{},
-		started:   time.Now(),
-		waiters:   make(map[int64]chan Result),
-		wake:      make(chan struct{}, 1),
-		done:      make(chan struct{}),
-	}
-	for i := range b.latency {
-		b.latency[i] = metrics.NewHistogram(metrics.DefLatencyBuckets)
-	}
-	return b
-}
-
-// NewBackend builds a backend around a PrefillOnly engine created with the
-// given engine config and options. cfg.Sim and cfg.OnComplete must be
+// NewBackend builds a backend around one PrefillOnly engine created with
+// the given engine config and options. cfg.Sim and cfg.OnComplete must be
 // unset; the backend owns them.
 func NewBackend(cfg engine.Config, opts core.Options, speedup float64) (*Backend, error) {
-	if cfg.Sim != nil || cfg.OnComplete != nil {
-		return nil, fmt.Errorf("server: Sim and OnComplete are owned by the backend")
-	}
-	b := newBackendBase(speedup)
-	cfg.Sim = b.sim
-	cfg.OnComplete = b.onComplete
-	b.rec = cfg.Tracer
-	eng, err := core.New(cfg, opts)
-	if err != nil {
-		return nil, err
-	}
-	b.engines = []*core.Engine{eng}
-	go b.loop()
-	return b, nil
+	return newBackend(cfg, opts, speedup, 1, nil, nil)
 }
 
 // NewRoutedBackend builds a backend over a routed cluster of `instances`
@@ -132,7 +97,7 @@ func NewBackend(cfg engine.Config, opts core.Options, speedup float64) (*Backend
 // instance when every alternative is worse). cfg.Sim and cfg.OnComplete
 // must be unset; the backend owns them.
 func NewRoutedBackend(cfg engine.Config, opts core.Options, speedup float64, instances int, rcfg router.Config) (*Backend, error) {
-	return newRouted(cfg, opts, speedup, instances, rcfg, nil)
+	return newBackend(cfg, opts, speedup, instances, &rcfg, nil)
 }
 
 // NewAutoscaledBackend is NewRoutedBackend with an elastic instance pool:
@@ -154,71 +119,57 @@ func NewAutoscaledBackend(cfg engine.Config, opts core.Options, speedup float64,
 		}
 		acfg.TickSeconds = max(1, speedup/1000)
 	}
-	return newRouted(cfg, opts, speedup, acfg.MinInstances, rcfg, &acfg)
+	acfg.Model, acfg.GPU, acfg.KeepAlive = cfg.Model, cfg.GPU, true
+	return newBackend(cfg, opts, speedup, acfg.MinInstances, &rcfg, &acfg)
 }
 
-func newRouted(cfg engine.Config, opts core.Options, speedup float64, instances int, rcfg router.Config, acfg *autoscale.Config) (*Backend, error) {
+// newBackend assembles the fleet behind every constructor: without rcfg
+// the fleet's first-appearance frontend serves its one instance.
+func newBackend(cfg engine.Config, opts core.Options, speedup float64, instances int, rcfg *router.Config, acfg *autoscale.Config) (*Backend, error) {
 	if cfg.Sim != nil || cfg.OnComplete != nil {
 		return nil, fmt.Errorf("server: Sim and OnComplete are owned by the backend")
 	}
-	if instances <= 0 {
-		return nil, fmt.Errorf("server: need at least one instance, got %d", instances)
+	if speedup <= 0 {
+		speedup = 1000
 	}
-	b := newBackendBase(speedup)
-	cfg.Sim = b.sim
-	cfg.OnComplete = b.onComplete
+	b := &Backend{
+		Tokenizer: tokenizer.New(),
+		Speedup:   speedup,
+		rec:       cfg.Tracer,
+		started:   time.Now(),
+		waiters:   make(map[int64]chan Result),
+		wake:      make(chan struct{}, 1),
+		done:      make(chan struct{}),
+	}
+	for i := range b.latency {
+		b.latency[i] = metrics.NewHistogram(metrics.DefLatencyBuckets)
+	}
 	// One recorder serves every tier: engine lifecycle spans, router
 	// decisions and autoscale pool events share the timeline.
-	b.rec = cfg.Tracer
-	if rcfg.Tracer == nil {
-		rcfg.Tracer = cfg.Tracer
-	}
-	factory := func() (engine.Engine, error) {
-		eng, err := core.New(cfg, opts)
-		if err != nil {
-			return nil, err
-		}
-		b.engines = append(b.engines, eng)
-		return eng, nil
-	}
-	engines := make([]engine.Engine, instances)
-	for i := range engines {
-		eng, err := factory()
-		if err != nil {
-			return nil, err
-		}
-		engines[i] = eng
-	}
-	rt, err := router.New(rcfg, engines...)
+	f, err := cluster.New(cluster.Spec{
+		Model:          cfg.Model,
+		GPU:            cfg.GPU,
+		ProfileMaxLen:  cfg.ProfileMaxLen,
+		HostCacheBytes: cfg.HostCacheBytes,
+		Options:        opts,
+		Instances:      instances,
+		Router:         rcfg,
+		Autoscale:      acfg,
+		Tracer:         cfg.Tracer,
+		OnComplete:     b.onComplete,
+		OnShed:         b.onOrphanShed,
+	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("server: %w", err)
 	}
-	b.rt = rt
-	if acfg != nil {
-		acfg.Model = cfg.Model
-		acfg.GPU = cfg.GPU
-		acfg.KeepAlive = true
-		if acfg.Tracer == nil {
-			acfg.Tracer = cfg.Tracer
-		}
-		ctl, err := autoscale.New(*acfg, b.sim, rt, factory)
-		if err != nil {
-			return nil, err
-		}
-		b.ctl = ctl
-		ctl.Start()
-	}
+	b.fleet, b.sim = f, f.Sim()
 	go b.loop()
 	return b, nil
 }
 
 // Engine exposes the first PrefillOnly engine (read-only use; the only
 // engine in single-engine mode).
-func (b *Backend) Engine() *core.Engine {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.engines[0]
-}
+func (b *Backend) Engine() *core.Engine { return b.Engines()[0] }
 
 // Engines exposes every instance ever created (read-only use; an
 // autoscaled backend's released instances stay listed, so cumulative
@@ -226,14 +177,18 @@ func (b *Backend) Engine() *core.Engine {
 func (b *Backend) Engines() []*core.Engine {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return append([]*core.Engine(nil), b.engines...)
+	out := make([]*core.Engine, len(b.fleet.Engines()))
+	for i, e := range b.fleet.Engines() {
+		out[i] = e.(*core.Engine)
+	}
+	return out
 }
 
 // Router exposes the routing frontend (nil in single-engine mode).
-func (b *Backend) Router() *router.Router { return b.rt }
+func (b *Backend) Router() *router.Router { return b.fleet.Router() }
 
 // Autoscaler exposes the pool controller (nil unless autoscaled).
-func (b *Backend) Autoscaler() *autoscale.Controller { return b.ctl }
+func (b *Backend) Autoscaler() *autoscale.Controller { return b.fleet.Controller() }
 
 // InstanceStats is one instance's identity and live load in a
 // StatsSnapshot.
@@ -313,23 +268,25 @@ func (b *Backend) Stats() StatsSnapshot {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	now := b.sim.Now()
+	g := b.fleet.Gauges(now)
 	snap := StatsSnapshot{
 		SimSeconds: now,
+		Routable:   g.PoolSize,
 		Admission:  map[string]AdmissionStats{},
 	}
-	if b.rt == nil {
-		// Single-engine mode: synthesize one instance row. In-flight
-		// requests are the backend's unanswered waiters (queued or
-		// executing); token and backlog accounting only exists in routed
-		// mode, where the router prices submissions.
-		snap.Routable = 1
+	rt := b.fleet.Router()
+	if rt == nil {
+		// Single-engine mode: one instance row holding the fleet's
+		// in-flight requests (queued or executing); token and backlog
+		// accounting only exists in routed mode, where the router prices
+		// submissions.
 		snap.Instances = []InstanceStats{{
-			GPUs:           b.engines[0].GPUs(),
-			QueuedRequests: len(b.waiters),
+			GPUs:           b.fleet.Engines()[0].GPUs(),
+			QueuedRequests: g.QueuedRequests,
 		}}
 		return snap
 	}
-	for _, info := range b.rt.InstanceInfos() {
+	for _, info := range g.Loads {
 		classBacklog := make(map[string]float64, sched.NumClasses)
 		for _, class := range sched.Classes() {
 			if s := info.Load.ClassBacklog(class); s > 0 {
@@ -348,11 +305,10 @@ func (b *Backend) Stats() StatsSnapshot {
 			RoutedTokens:        info.Load.RoutedTokens,
 		})
 	}
-	snap.Routable = b.rt.Routable()
 	// One ClassSnapshot serves both views: summing it here keeps the
 	// aggregate consistent with the per-class breakdown (two separate
 	// snapshot calls could interleave with a concurrent submit).
-	for pol, byClass := range b.rt.Admission().ClassSnapshot() {
+	for pol, byClass := range rt.Admission().ClassSnapshot() {
 		m := make(map[string]AdmissionStats, len(byClass))
 		var agg AdmissionStats
 		for class, c := range byClass {
@@ -366,24 +322,24 @@ func (b *Backend) Stats() StatsSnapshot {
 		}
 		snap.AdmissionByClass[pol] = m
 	}
-	if reasons := b.rt.Admission().ReasonSnapshot(); len(reasons) > 0 {
+	if reasons := rt.Admission().ReasonSnapshot(); len(reasons) > 0 {
 		snap.RejectReasons = reasons
 	}
-	if b.ctl != nil {
-		st := b.ctl.Stats()
+	if ctl := b.fleet.Controller(); ctl != nil {
+		st := ctl.Stats()
 		snap.Autoscale = &AutoscaleStats{
-			PoolSize:         b.ctl.Size(),
+			PoolSize:         ctl.Size(),
 			ScaleUps:         st.ScaleUps,
 			ScaleDowns:       st.ScaleDowns,
 			Revives:          st.Revives,
 			PeakInstances:    st.PeakInstances,
 			TroughInstances:  st.MinInstances,
 			ColdStartSeconds: st.ColdStartSeconds,
-			GPUSeconds:       b.ctl.GPUSeconds(now),
+			GPUSeconds:       g.GPUSeconds,
 		}
 	}
-	if b.inj.Enabled() {
-		st := b.inj.Stats()
+	if inj := b.fleet.Injector(); inj.Enabled() {
+		st := inj.Stats()
 		byKind := make(map[string]uint64, 4)
 		for _, label := range chaos.Labels() {
 			byKind[label] = st.ByLabel(label)
@@ -407,15 +363,12 @@ func (b *Backend) simNow() float64 {
 	return time.Since(b.started).Seconds() * b.Speedup
 }
 
-// onComplete runs inside sim event handlers (loop holds the lock).
+// onComplete is the fleet's completion hook; it runs inside sim event
+// handlers (loop holds the lock).
 func (b *Backend) onComplete(rec engine.Record) {
-	if b.rt != nil {
-		b.rt.Completed(rec)
-	}
 	if c := int(rec.Req.Class); c < len(b.latency) {
 		b.latency[c].Observe(rec.Latency())
 	}
-	b.ts.Complete(rec.Finish, rec.Req.Class, rec.Latency())
 	ch, ok := b.waiters[rec.Req.ID]
 	if !ok {
 		return
@@ -441,31 +394,11 @@ func (b *Backend) loop() {
 		if b.rec != nil {
 			if b.loopTicks++; b.loopTicks >= gaugeSampleTicks {
 				b.loopTicks = 0
-				b.sampleGauges()
+				b.fleet.TraceGauges(b.sim.Now())
 			}
 		}
 		b.mu.Unlock()
 	}
-}
-
-// sampleGauges emits the fleet gauges (per-instance load, cache
-// residency, pool size) into the flight recorder. Caller holds b.mu.
-func (b *Backend) sampleGauges() {
-	now := b.sim.Now()
-	if b.rt != nil {
-		for _, info := range b.rt.InstanceInfos() {
-			b.rec.LoadGauge(now, info.ID, info.Load.QueuedRequests, info.Load.BacklogSeconds)
-		}
-		pending := 0
-		if b.ctl != nil {
-			pending = b.ctl.Size() - b.rt.Routable()
-		}
-		b.rec.PoolGauge(now, b.rt.Routable(), pending)
-	} else {
-		b.rec.LoadGauge(now, 0, len(b.waiters), 0)
-		b.rec.PoolGauge(now, 1, 0)
-	}
-	b.rec.SampleCaches(now)
 }
 
 // EnableTimeseries attaches a windowed time-series collector with the
@@ -482,10 +415,8 @@ func (b *Backend) EnableTimeseries(intervalSeconds float64) {
 	if b.ts != nil {
 		return
 	}
-	b.ts = timeseries.New(timeseries.Config{
-		IntervalSeconds: intervalSeconds,
-		Sample:          b.timeseriesGauges,
-	})
+	b.ts = timeseries.New(timeseries.Config{IntervalSeconds: intervalSeconds})
+	b.fleet.SetTimeseries(b.ts)
 }
 
 // EnableChaos arms a deterministic fault injector over the routed
@@ -500,83 +431,26 @@ func (b *Backend) EnableTimeseries(intervalSeconds float64) {
 func (b *Backend) EnableChaos(cfg chaos.Config) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.rt == nil {
-		return fmt.Errorf("server: chaos requires routed mode (more than one instance)")
+	if err := b.fleet.EnableChaos(cfg); err != nil {
+		return fmt.Errorf("server: %w", err)
 	}
-	if b.inj != nil {
-		return fmt.Errorf("server: chaos already enabled")
-	}
-	b.inj = chaos.New(cfg, b.sim, b.rt, chaos.Options{
-		Controller: b.ctl,
-		Tracer:     b.rec,
-		Timeseries: b.ts,
-		OnShed:     b.onOrphanShed,
-	})
-	b.inj.Start()
 	return nil
 }
 
 // Chaos exposes the fault injector (nil unless EnableChaos armed one).
-func (b *Backend) Chaos() *chaos.Injector { return b.inj }
+func (b *Backend) Chaos() *chaos.Injector { return b.fleet.Injector() }
 
-// onOrphanShed runs inside sim event handlers (loop holds the lock): a
-// fault orphaned this request and re-admission shed it, so answer its
-// waiter with the typed reject instead of leaving the caller blocked.
+// onOrphanShed is the fleet's orphan-shed hook; it runs inside sim event
+// handlers (loop holds the lock): a fault orphaned this request and
+// re-admission shed it, so answer its waiter with the typed reject
+// instead of leaving the caller blocked.
 func (b *Backend) onOrphanShed(r *sched.Request, rej *router.RejectError) {
-	b.ts.Reject(b.sim.Now(), rej.Class, rej.Reason)
 	ch, ok := b.waiters[r.ID]
 	if !ok {
 		return
 	}
 	delete(b.waiters, r.ID)
 	ch <- Result{Err: fmt.Errorf("server: %w", rej)}
-}
-
-// timeseriesGauges samples fleet state for the collector. It runs with
-// b.mu held: either from a collector tick inside the clock loop's
-// RunUntil, or from a snapshot under Timeseries.
-func (b *Backend) timeseriesGauges(now float64) timeseries.Gauges {
-	var g timeseries.Gauges
-	if b.rt != nil {
-		for _, info := range b.rt.InstanceInfos() {
-			g.QueuedRequests += info.Load.QueuedRequests
-			g.BacklogSeconds += info.Load.BacklogSeconds
-		}
-		g.PoolSize = b.rt.Routable()
-		if b.ctl != nil {
-			g.PendingInstances = b.ctl.Size() - b.rt.Routable()
-		}
-	} else {
-		g.QueuedRequests = len(b.waiters)
-		g.PoolSize = 1
-	}
-	g.GPUSeconds = b.gpuSeconds(now)
-	var lookup, hit int64
-	for _, eng := range b.engines {
-		if c := eng.Cache(); c != nil {
-			st := c.Stats()
-			lookup += st.LookupTokens
-			hit += st.HitTokens
-		}
-	}
-	if lookup > 0 {
-		g.CacheHitRatio = float64(hit) / float64(lookup)
-	}
-	return g
-}
-
-// gpuSeconds is the fleet's cumulative GPU-seconds at sim time now: the
-// controller's accrued integral when autoscaled, else fleet size × time.
-// Caller holds b.mu.
-func (b *Backend) gpuSeconds(now float64) float64 {
-	if b.ctl != nil {
-		return b.ctl.GPUSeconds(now)
-	}
-	gpus := 0
-	for _, eng := range b.engines {
-		gpus += eng.GPUs()
-	}
-	return now * float64(gpus)
 }
 
 // Timeseries renders the collector's series as of the current simulated
@@ -656,23 +530,11 @@ func (b *Backend) SubmitClass(prompt string, allowed []string, userID int, class
 		AllowedTokens: allowed,
 		Class:         class,
 	})
-	b.ts.Arrival(b.sim.Now(), class)
 	b.waiters[id] = ch
-	if b.rt != nil {
-		if err := b.rt.Submit(r); err != nil {
-			delete(b.waiters, id)
-			var rej *router.RejectError
-			if errors.As(err, &rej) {
-				b.ts.Reject(b.sim.Now(), rej.Class, rej.Reason)
-			}
-			b.mu.Unlock()
-			return Result{}, fmt.Errorf("server: %w", err)
-		}
-		// Revive parked fault streams: with no horizon they follow the
-		// sampler discipline and park when the event queue drains.
-		b.inj.Start()
-	} else {
-		b.engines[0].Submit(r)
+	if err := b.fleet.Submit(r); err != nil {
+		delete(b.waiters, id)
+		b.mu.Unlock()
+		return Result{}, fmt.Errorf("server: %w", err)
 	}
 	b.mu.Unlock()
 

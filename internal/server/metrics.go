@@ -51,6 +51,8 @@ func (b *Backend) Metrics() *metrics.Registry {
 	defer b.mu.Unlock()
 	reg := metrics.NewRegistry()
 	now := b.sim.Now()
+	g := b.fleet.Gauges(now)
+	rt := b.fleet.Router()
 
 	reg.Family(famSimSeconds, "Simulated time in seconds.", metrics.TypeGauge).Add(now)
 	reg.Family(famSimEvents, "Events executed by the simulation kernel.", metrics.TypeCounter).
@@ -72,8 +74,8 @@ func (b *Backend) Metrics() *metrics.Registry {
 	routed := reg.Family(famRouted,
 		"Requests ever routed to the instance.", metrics.TypeCounter)
 
-	if b.rt != nil {
-		byClass := b.rt.Admission().ClassSnapshot()
+	if rt != nil {
+		byClass := rt.Admission().ClassSnapshot()
 		for _, pol := range metrics.SortedKeys(byClass) {
 			classes := byClass[pol]
 			for _, class := range metrics.SortedKeys(classes) {
@@ -89,7 +91,7 @@ func (b *Backend) Metrics() *metrics.Registry {
 				admission.Add(float64(c.Rejected), labels("rejected")...)
 			}
 		}
-		reasons := b.rt.Admission().ReasonSnapshot()
+		reasons := rt.Admission().ReasonSnapshot()
 		for _, pol := range metrics.SortedKeys(reasons) {
 			for _, class := range metrics.SortedKeys(reasons[pol]) {
 				byReason := reasons[pol][class]
@@ -101,7 +103,7 @@ func (b *Backend) Metrics() *metrics.Registry {
 				}
 			}
 		}
-		for _, info := range b.rt.InstanceInfos() {
+		for _, info := range g.Loads {
 			inst := metrics.Label{Name: "instance", Value: strconv.Itoa(info.ID)}
 			queueDepth.Add(float64(info.Load.QueuedRequests), inst)
 			backlog.Add(info.Load.BacklogSeconds, inst)
@@ -109,7 +111,7 @@ func (b *Backend) Metrics() *metrics.Registry {
 		}
 	} else {
 		inst := metrics.Label{Name: "instance", Value: "0"}
-		queueDepth.Add(float64(len(b.waiters)), inst)
+		queueDepth.Add(float64(g.QueuedRequests), inst)
 	}
 
 	lookup := reg.Family(famCacheLookup,
@@ -120,7 +122,7 @@ func (b *Backend) Metrics() *metrics.Registry {
 		"Bytes resident in the instance's prefix cache.", metrics.TypeGauge)
 	capacity := reg.Family(famCacheCapacity,
 		"The instance's prefix-cache pool size in bytes.", metrics.TypeGauge)
-	for i, eng := range b.engines {
+	for i, eng := range b.fleet.Engines() {
 		c := eng.Cache()
 		if c == nil {
 			continue
@@ -141,17 +143,12 @@ func (b *Backend) Metrics() *metrics.Registry {
 		"Scale-ups served by undraining a warm instance.", metrics.TypeCounter)
 	gpuSeconds := reg.Family(famGPUSeconds,
 		"GPU-seconds provisioned (cold starts and drains included).", metrics.TypeCounter)
-	switch {
-	case b.rt != nil:
-		pool.Add(float64(b.rt.Routable()))
-	default:
-		pool.Add(1)
-	}
-	// Monotonic in every mode: the controller's accrued integral when
-	// autoscaled, fleet size × sim time for a fixed fleet.
-	gpuSeconds.Add(b.gpuSeconds(now))
-	if b.ctl != nil {
-		st := b.ctl.Stats()
+	pool.Add(float64(g.PoolSize))
+	// Monotonic in every mode: the controller's integral when autoscaled,
+	// fleet size × sim time for a fixed fleet.
+	gpuSeconds.Add(g.GPUSeconds)
+	if ctl := b.fleet.Controller(); ctl != nil {
+		st := ctl.Stats()
 		scaleUps.Add(float64(st.ScaleUps))
 		scaleDowns.Add(float64(st.ScaleDowns))
 		revives.Add(float64(st.Revives))
@@ -163,8 +160,8 @@ func (b *Backend) Metrics() *metrics.Registry {
 		"Fault-orphaned requests re-admitted through admission.", metrics.TypeCounter)
 	orphansShed := reg.Family(famOrphansShed,
 		"Fault-orphaned requests shed (retry budget or re-admission reject).", metrics.TypeCounter)
-	if b.inj.Enabled() {
-		st := b.inj.Stats()
+	if inj := b.fleet.Injector(); inj.Enabled() {
+		st := inj.Stats()
 		for _, label := range chaos.Labels() {
 			faults.Add(float64(st.ByLabel(label)), metrics.Label{Name: "kind", Value: label})
 		}

@@ -32,10 +32,11 @@ type Func func(arg any)
 
 // event is one scheduled callback, stored by value in the heap slice.
 type event struct {
-	time float64
-	seq  uint64 // FIFO tie-break for simultaneous events
-	fn   Func
-	arg  any
+	time     float64
+	seq      uint64 // FIFO tie-break for simultaneous events
+	fn       Func
+	arg      any
+	observer bool // scheduled by ObserveAt; not counted by Pending
 }
 
 // minEventCap is the smallest backing array kept once the heap has
@@ -118,10 +119,11 @@ func (h *eventHeap) len() int { return len(h.events) }
 // use. Sim is not goroutine-safe: each simulation owns one Sim, and
 // parallel experiment cells each run their own.
 type Sim struct {
-	now      float64
-	seq      uint64
-	executed uint64
-	heap     eventHeap // min-heap ordered by (time, seq)
+	now       float64
+	seq       uint64
+	executed  uint64
+	observers int       // pending observer events
+	heap      eventHeap // min-heap ordered by (time, seq)
 }
 
 // Now returns the current simulated time in seconds.
@@ -138,14 +140,32 @@ func (s *Sim) Executed() uint64 { return s.executed }
 // Scheduling in the past (t < now) panics: it indicates a causality bug in
 // the caller.
 func (s *Sim) AtFunc(t float64, fn Func, arg any) {
-	if t < s.now {
+	s.schedule(event{time: t, fn: fn, arg: arg})
+}
+
+func (s *Sim) schedule(e event) {
+	if e.time < s.now {
 		panic("sim: event scheduled in the past")
 	}
-	if fn == nil {
+	if e.fn == nil {
 		panic("sim: nil event callback")
 	}
 	s.seq++
-	s.heap.push(event{time: t, seq: s.seq, fn: fn, arg: arg})
+	e.seq = s.seq
+	if e.observer {
+		s.observers++
+	}
+	s.heap.push(e)
+}
+
+// ObserveAt schedules fn(arg) at absolute time t as an observer event:
+// it runs in time order like any other event, but Pending does not count
+// it. Periodic observers (gauge samplers, window tickers) re-arm only
+// while work is pending, so scheduling them here keeps them from holding
+// a drained run open — or each other, or a controller that also ticks
+// while events are pending.
+func (s *Sim) ObserveAt(t float64, fn Func, arg any) {
+	s.schedule(event{time: t, fn: fn, arg: arg, observer: true})
 }
 
 // AfterFunc schedules fn(arg) d seconds from now (fast path).
@@ -169,8 +189,17 @@ func (s *Sim) After(d float64, fn func()) {
 	s.AtFunc(s.now+d, runClosure, fn)
 }
 
-// Pending returns the number of queued events.
-func (s *Sim) Pending() int { return s.heap.len() }
+// Pending returns the number of queued events, observer events excluded.
+func (s *Sim) Pending() int { return s.heap.len() - s.observers }
+
+// pop removes the earliest event and keeps the observer count.
+func (s *Sim) pop() event {
+	e := s.heap.pop()
+	if e.observer {
+		s.observers--
+	}
+	return e
+}
 
 // Run executes events in time order until the queue drains, and returns
 // the final simulated time. Draining shrinks the heap's backing array back
@@ -178,7 +207,7 @@ func (s *Sim) Pending() int { return s.heap.len() }
 // peak-depth array afterwards.
 func (s *Sim) Run() float64 {
 	for s.heap.len() > 0 {
-		e := s.heap.pop()
+		e := s.pop()
 		s.now = e.time
 		s.executed++
 		e.fn(e.arg)
@@ -190,7 +219,7 @@ func (s *Sim) Run() float64 {
 // queued, and advances the clock to min(deadline, last event time).
 func (s *Sim) RunUntil(deadline float64) {
 	for s.heap.len() > 0 && s.heap.events[0].time <= deadline {
-		e := s.heap.pop()
+		e := s.pop()
 		s.now = e.time
 		s.executed++
 		e.fn(e.arg)

@@ -517,7 +517,7 @@ func (c *Collector) scheduleLocked(now float64) {
 	for c.windowEnd(idx) <= now {
 		idx++
 	}
-	c.clock.AtFunc(c.windowEnd(idx), collectorTick, c)
+	c.clock.ObserveAt(c.windowEnd(idx), collectorTick, c)
 }
 
 func (c *Collector) tick() {

@@ -469,7 +469,7 @@ func (sp *Sampler) Start() {
 		return
 	}
 	sp.running = true
-	sp.s.AfterFunc(sp.interval, samplerTick, sp)
+	sp.s.ObserveAt(sp.s.Now()+sp.interval, samplerTick, sp)
 }
 
 // samplerTick is the fast-path callback: sample, then reschedule only
@@ -478,7 +478,7 @@ func samplerTick(arg any) {
 	sp := arg.(*Sampler)
 	sp.sample(sp.s.Now())
 	if sp.s.Pending() > 0 {
-		sp.s.AfterFunc(sp.interval, samplerTick, sp)
+		sp.s.ObserveAt(sp.s.Now()+sp.interval, samplerTick, sp)
 		return
 	}
 	sp.running = false

@@ -1,16 +1,13 @@
 package prefillonly
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/autoscale"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/router"
 	"repro/internal/sched"
-	"repro/internal/sim"
 	"repro/internal/timeseries"
 	"repro/internal/tokenizer"
 	"repro/internal/trace"
@@ -59,9 +56,9 @@ type SimulationConfig struct {
 	// paper's default).
 	HostCacheBytes int64
 	// RoutingPolicy selects the cluster frontend. Empty keeps the paper's
-	// §7.1 first-appearance round-robin (internal/cluster); "userhash",
-	// "leastloaded" or "affinity" route through internal/router by live
-	// load and prefix-cache affinity.
+	// §7.1 first-appearance round-robin; "userhash", "leastloaded" or
+	// "affinity" route through internal/router by live load and
+	// prefix-cache affinity.
 	RoutingPolicy string
 	// MaxBacklogSeconds enables admission control in routed mode: requests
 	// whose projected completion wait exceeds the bound are rejected and
@@ -104,23 +101,20 @@ type SimulationConfig struct {
 
 // Simulation is a deterministic serving cluster on a virtual clock.
 type Simulation struct {
-	cfg             SimulationConfig
-	clock           *sim.Sim
-	cluster         *cluster.Cluster      // legacy §7.1 routing ("" policy)
-	router          *router.Router        // load/affinity routing (non-empty policy)
-	ctl             *autoscale.Controller // elastic pool (Autoscale config)
-	rec             *trace.Recorder       // flight recorder (TraceSpans config)
-	sampler         *trace.Sampler        // fleet-gauge ticks on the sim clock
-	ts              *timeseries.Collector // windowed series (TimeseriesSeconds config)
-	tok             *tokenizer.Tokenizer
-	records         []Record
-	submitted       int
-	rejected        int
-	rejectedByClass [sched.NumClasses]int
-	nextID          int64
-	// instances lists every engine ever created (autoscaled additions
-	// included, released ones retained) for cumulative cache statistics.
-	instances []engine.Engine
+	fleet  *cluster.Fleet
+	rec    *trace.Recorder       // flight recorder (TraceSpans config)
+	ts     *timeseries.Collector // windowed series (TimeseriesSeconds config)
+	tok    *tokenizer.Tokenizer
+	nextID int64
+}
+
+// engineKinds maps the public engine names onto the fleet's engines.
+var engineKinds = map[EngineName]cluster.EngineKind{
+	EnginePrefillOnly:      cluster.PrefillOnly,
+	EnginePagedAttention:   cluster.PagedAttention,
+	EngineChunkedPrefill:   cluster.ChunkedPrefill,
+	EngineTensorParallel:   cluster.TensorParallel,
+	EnginePipelineParallel: cluster.PipelineParallel,
 }
 
 // NewSimulation builds the cluster (running each engine's profile run and
@@ -138,19 +132,36 @@ func NewSimulation(cfg SimulationConfig) (*Simulation, error) {
 	if cfg.GPUs == 0 {
 		cfg.GPUs = 2
 	}
-	if cfg.GPUs < 0 {
-		return nil, fmt.Errorf("prefillonly: GPUs must be positive, got %d", cfg.GPUs)
-	}
 	if cfg.MaxInputLen == 0 {
 		cfg.MaxInputLen = 20000
 	}
+	kind, ok := engineKinds[cfg.Engine]
+	if !ok {
+		return nil, fmt.Errorf("prefillonly: unknown engine %q", cfg.Engine)
+	}
+	instances, err := kind.Instances(cfg.GPUs)
+	if err != nil {
+		return nil, fmt.Errorf("prefillonly: %w", err)
+	}
+	spec := cluster.Spec{
+		Engine:         kind,
+		Model:          cfg.Model,
+		GPU:            cfg.GPU,
+		ProfileMaxLen:  cfg.MaxInputLen,
+		HostCacheBytes: cfg.HostCacheBytes,
+		Options:        core.Options{Lambda: cfg.Lambda, ClassWeights: cfg.ClassWeights},
+		Instances:      instances,
+	}
 	// Validate routing config before the engines' expensive profile runs.
-	var pol router.Policy
 	if cfg.RoutingPolicy != "" {
-		var err error
-		pol, err = router.PolicyByName(cfg.RoutingPolicy)
+		pol, err := router.PolicyByName(cfg.RoutingPolicy)
 		if err != nil {
 			return nil, err
+		}
+		spec.Router = &router.Config{
+			Policy:              pol,
+			MaxBacklogSeconds:   cfg.MaxBacklogSeconds,
+			ClassBacklogSeconds: cfg.ClassBacklogSeconds,
 		}
 	} else if cfg.MaxBacklogSeconds != 0 {
 		return nil, fmt.Errorf("prefillonly: MaxBacklogSeconds requires a RoutingPolicy")
@@ -162,172 +173,41 @@ func NewSimulation(cfg SimulationConfig) (*Simulation, error) {
 	if len(cfg.ClassWeights) != 0 && cfg.Engine != EnginePrefillOnly {
 		return nil, fmt.Errorf("prefillonly: ClassWeights requires the %s engine", EnginePrefillOnly)
 	}
-	s := &Simulation{cfg: cfg, clock: &sim.Sim{}, tok: tokenizer.New()}
+	if cfg.Autoscale != nil {
+		// Copy: the defaults must not write back into the caller's
+		// config. The elastic pool starts at its floor; GPUs sizes the
+		// default ceiling.
+		a := *cfg.Autoscale
+		if a.MaxInstances <= 0 {
+			a.MaxInstances = instances
+		}
+		spec.Autoscale = &a
+		spec.Instances = max(a.MinInstances, 1)
+	}
+	s := &Simulation{tok: tokenizer.New()}
 	if cfg.TraceSpans != 0 {
 		s.rec = trace.New(cfg.TraceSpans)
-		interval := cfg.TraceSampleSeconds
-		if interval <= 0 {
-			interval = 0.5
+		spec.Tracer = s.rec
+		spec.TraceSampleSeconds = cfg.TraceSampleSeconds
+		if spec.TraceSampleSeconds <= 0 {
+			spec.TraceSampleSeconds = 0.5
 		}
-		s.sampler = trace.NewSampler(s.clock, interval, s.sampleGauges)
 	}
 	if cfg.TimeseriesSeconds > 0 {
-		s.ts = timeseries.New(timeseries.Config{
-			IntervalSeconds: cfg.TimeseriesSeconds,
-			Sample:          s.timeseriesGauges,
-		})
-		s.ts.Attach(s.clock)
+		s.ts = timeseries.New(timeseries.Config{IntervalSeconds: cfg.TimeseriesSeconds})
+		spec.Timeseries = s.ts
 	}
-
-	c := engine.Config{
-		Model:          cfg.Model,
-		GPU:            cfg.GPU,
-		Sim:            s.clock,
-		ProfileMaxLen:  cfg.MaxInputLen,
-		HostCacheBytes: cfg.HostCacheBytes,
-		OnComplete: func(r Record) {
-			if s.router != nil {
-				s.router.Completed(r)
-			}
-			s.records = append(s.records, r)
-			s.ts.Complete(r.Finish, r.Req.Class, r.Latency())
-		},
-		Tracer: s.rec,
-	}
-	mk := func() (engine.Engine, error) {
-		switch cfg.Engine {
-		case EnginePrefillOnly:
-			return core.New(c, core.Options{Lambda: cfg.Lambda, ClassWeights: cfg.ClassWeights})
-		case EnginePagedAttention:
-			return engine.NewPagedAttention(c)
-		case EngineChunkedPrefill:
-			return engine.NewChunkedPrefill(c, 0)
-		case EngineTensorParallel:
-			return engine.NewTensorParallel(c)
-		case EnginePipelineParallel:
-			return engine.NewPipelineParallel(c)
-		default:
-			return nil, fmt.Errorf("prefillonly: unknown engine %q", cfg.Engine)
-		}
-	}
-	perInstance := 1
-	switch cfg.Engine {
-	case EngineTensorParallel, EnginePipelineParallel:
-		perInstance = 2
-		if cfg.GPUs%2 != 0 {
-			return nil, fmt.Errorf("prefillonly: %s needs an even GPU count, got %d", cfg.Engine, cfg.GPUs)
-		}
-	}
-	factory := func() (engine.Engine, error) {
-		e, err := mk()
-		if err != nil {
-			return nil, err
-		}
-		s.instances = append(s.instances, e)
-		return e, nil
-	}
-	initial := cfg.GPUs / perInstance
-	var acfg *AutoscaleConfig
-	if cfg.Autoscale != nil {
-		// Copy: the controller's defaults must not write back into the
-		// caller's config. The elastic pool starts at its floor; GPUs
-		// sizes the default ceiling.
-		a := *cfg.Autoscale
-		acfg = &a
-		if acfg.MaxInstances <= 0 {
-			acfg.MaxInstances = cfg.GPUs / perInstance
-		}
-		if acfg.Model == nil {
-			acfg.Model = cfg.Model
-		}
-		if acfg.GPU == nil {
-			acfg.GPU = cfg.GPU
-		}
-		if acfg.Tracer == nil {
-			acfg.Tracer = s.rec
-		}
-		initial = acfg.MinInstances
-		if initial <= 0 {
-			initial = 1
-		}
-	}
-	for g := 0; g < initial; g++ {
-		if _, err := factory(); err != nil {
-			return nil, err
-		}
-	}
-	if pol != nil {
-		rt, err := router.New(router.Config{
-			Policy:              pol,
-			MaxBacklogSeconds:   cfg.MaxBacklogSeconds,
-			ClassBacklogSeconds: cfg.ClassBacklogSeconds,
-			Tracer:              s.rec,
-		}, s.instances...)
-		if err != nil {
-			return nil, err
-		}
-		s.router = rt
-		if acfg != nil {
-			ctl, err := autoscale.New(*acfg, s.clock, rt, factory)
-			if err != nil {
-				return nil, err
-			}
-			s.ctl = ctl
-			ctl.Start()
-		}
-		return s, nil
-	}
-	cl, err := cluster.New(s.instances...)
-	if err != nil {
+	if s.fleet, err = cluster.New(spec); err != nil {
 		return nil, err
 	}
-	s.cluster = cl
 	return s, nil
 }
 
-// submit routes one request through the active frontend, counting
-// admission-control sheds in routed mode. Any other routing failure is a
-// programming error (e.g. a policy picking an out-of-range instance) and
-// fails loudly rather than being miscounted as load shedding.
-func (s *Simulation) submit(r *Request) {
-	s.submitted++
-	if s.sampler != nil {
-		// Re-arm the gauge sampler if it wound down after a previous Run
-		// drained the event queue (same discipline as the autoscaler).
-		s.sampler.Start()
-	}
-	s.ts.Arrival(s.clock.Now(), r.Class)
-	s.ts.Start()
-	if s.router != nil {
-		if s.ctl != nil {
-			// Revive the controller's tick loop if it wound down after a
-			// previous Run drained the event queue.
-			s.ctl.Start()
-		}
-		if err := s.router.Submit(r); err != nil {
-			var rej *router.RejectError
-			if !errors.As(err, &rej) {
-				panic(fmt.Sprintf("prefillonly: routing request %d: %v", r.ID, err))
-			}
-			s.rejected++
-			if int(rej.Class) < len(s.rejectedByClass) {
-				s.rejectedByClass[rej.Class]++
-			}
-			s.ts.Reject(s.clock.Now(), rej.Class, rej.Reason)
-		}
-		return
-	}
-	s.cluster.Submit(r)
-}
-
 // Now returns the current simulated time in seconds.
-func (s *Simulation) Now() float64 { return s.clock.Now() }
+func (s *Simulation) Now() float64 { return s.fleet.Sim().Now() }
 
 // SubmitAt schedules a request's arrival at absolute simulated time t.
-func (s *Simulation) SubmitAt(t float64, r *Request) {
-	r.ArrivalTime = t
-	s.clock.At(t, func() { s.submit(r) })
-}
+func (s *Simulation) SubmitAt(t float64, r *Request) { s.fleet.ArriveAt(t, r) }
 
 // SubmitText tokenizes a prompt and schedules its arrival at time t,
 // returning the created request.
@@ -350,87 +230,30 @@ func (s *Simulation) SubmitDataset(d *Dataset, qps float64, seed int64) error {
 	if err != nil {
 		return err
 	}
-	for _, a := range arrivals {
-		a := a
-		s.clock.At(a.Time, func() { s.submit(a.Req) })
-	}
+	s.fleet.Arrive(arrivals)
 	return nil
 }
 
 // Run drains the event queue (serving every submitted request) and returns
 // the completion records in finish order. A drained run must account for
-// every submission as completed or rejected; anything else is a lost
-// request, a programming error that fails loudly.
+// every submission as completed or rejected, and routing must not fail;
+// anything else is a programming error that fails loudly.
 func (s *Simulation) Run() []Record {
-	s.clock.Run()
-	if len(s.records)+s.rejected != s.submitted {
-		panic(fmt.Sprintf("prefillonly: %d completed + %d rejected != %d submitted",
-			len(s.records), s.rejected, s.submitted))
+	if _, err := s.fleet.Run(); err != nil {
+		panic(fmt.Sprintf("prefillonly: %v", err))
 	}
-	return s.records
+	return s.fleet.Records()
 }
 
 // Records returns the completions so far.
-func (s *Simulation) Records() []Record { return s.records }
+func (s *Simulation) Records() []Record { return s.fleet.Records() }
 
 // Rejected returns the requests shed by admission control so far (always 0
 // without a RoutingPolicy and MaxBacklogSeconds).
-func (s *Simulation) Rejected() int { return s.rejected }
+func (s *Simulation) Rejected() int { return s.fleet.Rejected() }
 
 // RejectedClass returns the requests of one SLO class shed so far.
-func (s *Simulation) RejectedClass(c Class) int {
-	if int(c) >= len(s.rejectedByClass) {
-		return 0
-	}
-	return s.rejectedByClass[c]
-}
-
-// sampleGauges is the trace sampler's tick: per-instance load gauges (in
-// routed mode, where the router prices backlog), cache residency per
-// engine, and the pool size.
-func (s *Simulation) sampleGauges(now float64) {
-	if s.router != nil {
-		for _, info := range s.router.InstanceInfos() {
-			s.rec.LoadGauge(now, info.ID, info.Load.QueuedRequests, info.Load.BacklogSeconds)
-		}
-		pending := 0
-		if s.ctl != nil {
-			pending = s.ctl.Size() - s.router.Routable()
-		}
-		s.rec.PoolGauge(now, s.router.Routable(), pending)
-	} else {
-		s.rec.PoolGauge(now, len(s.instances), 0)
-	}
-	s.rec.SampleCaches(now)
-}
-
-// timeseriesGauges samples fleet state for the time-series collector at
-// window close: fleet-wide queue depth and backlog (routed mode), pool
-// size and pending cold starts, cumulative cache hit ratio, and
-// GPU-seconds (the controller's accrued integral, or fleet size × time
-// for a fixed fleet).
-func (s *Simulation) timeseriesGauges(now float64) timeseries.Gauges {
-	var g timeseries.Gauges
-	if s.router != nil {
-		for _, info := range s.router.InstanceInfos() {
-			g.QueuedRequests += info.Load.QueuedRequests
-			g.BacklogSeconds += info.Load.BacklogSeconds
-		}
-		g.PoolSize = s.router.Routable()
-		if s.ctl != nil {
-			g.PendingInstances = s.ctl.Size() - s.router.Routable()
-		}
-	} else {
-		g.PoolSize = len(s.instances)
-	}
-	if s.ctl != nil {
-		g.GPUSeconds = s.ctl.GPUSeconds(now)
-	} else {
-		g.GPUSeconds = now * float64(s.cfg.GPUs)
-	}
-	g.CacheHitRatio = s.CacheHitRate()
-	return g
-}
+func (s *Simulation) RejectedClass(c Class) int { return s.fleet.RejectedClass(c) }
 
 // Timeseries returns the windowed collector (nil unless
 // TimeseriesSeconds was set).
@@ -440,26 +263,13 @@ func (s *Simulation) Timeseries() *timeseries.Collector { return s.ts }
 // WriteTrace exports the run as Chrome trace-event JSON for Perfetto.
 func (s *Simulation) Trace() *trace.Recorder { return s.rec }
 
-// Router returns the routing frontend (nil when the legacy §7.1 cluster is
-// active).
-func (s *Simulation) Router() *router.Router { return s.router }
+// Router returns the routing frontend (nil when the paper's §7.1
+// first-appearance frontend is active).
+func (s *Simulation) Router() *router.Router { return s.fleet.Router() }
 
 // Autoscaler returns the elastic pool controller (nil without an
 // Autoscale config).
-func (s *Simulation) Autoscaler() *autoscale.Controller { return s.ctl }
+func (s *Simulation) Autoscaler() *autoscale.Controller { return s.fleet.Controller() }
 
 // CacheHitRate aggregates prefix-cache hit rate across instances.
-func (s *Simulation) CacheHitRate() float64 {
-	var lookup, hit int64
-	for _, in := range s.instances {
-		if c := in.Cache(); c != nil {
-			st := c.Stats()
-			lookup += st.LookupTokens
-			hit += st.HitTokens
-		}
-	}
-	if lookup == 0 {
-		return 0
-	}
-	return float64(hit) / float64(lookup)
-}
+func (s *Simulation) CacheHitRate() float64 { return s.fleet.CacheHitRate() }
