@@ -372,3 +372,55 @@ func BenchmarkSimKernel(b *testing.B) {
 		}
 	})
 }
+
+// loop is a periodic loop that re-arms while other work is pending, as
+// the trace sampler, the time-series ticker and the autoscaler do.
+type loop struct {
+	s        *Sim
+	observer bool
+	ticks    int
+}
+
+func loopTick(arg any) {
+	l := arg.(*loop)
+	l.ticks++
+	if l.s.Pending() == 0 {
+		return
+	}
+	if l.observer {
+		l.s.ObserveAt(l.s.Now()+1, loopTick, l)
+	} else {
+		l.s.AfterFunc(1, loopTick, l)
+	}
+}
+
+// TestObserversDoNotKeepRunAlive pins the observer contract: Pending
+// ignores observer events, so two observers and a work-driven loop all
+// wind down once the real work drains — while two observers of plain
+// events would keep each other alive forever.
+func TestObserversDoNotKeepRunAlive(t *testing.T) {
+	var s Sim
+	a, b := &loop{s: &s, observer: true}, &loop{s: &s, observer: true}
+	ctl := &loop{s: &s}
+	s.ObserveAt(0.5, loopTick, a)
+	s.ObserveAt(0.5, loopTick, b)
+	if s.Pending() != 0 {
+		t.Fatalf("Pending = %d with only observer events queued", s.Pending())
+	}
+	s.AfterFunc(1, loopTick, ctl)
+	s.AtFunc(10, func(any) {}, nil) // the real work
+	if s.Pending() != 2 {
+		t.Fatalf("Pending = %d, want 2 non-observer events", s.Pending())
+	}
+	if end := s.Run(); end > 11 {
+		t.Fatalf("run drained at %g, long after the work finished at 10", end)
+	}
+	// Observers tick at 0.5 … 10.5 (the last one finds no work and
+	// parks); the loop ticks at 1 … 10.
+	if a.ticks != 11 || b.ticks != 11 || ctl.ticks != 10 {
+		t.Fatalf("ticks: observers %d/%d, loop %d; want 11/11, 10", a.ticks, b.ticks, ctl.ticks)
+	}
+	if s.Pending() != 0 || s.heap.len() != 0 {
+		t.Fatalf("drained sim still holds %d events", s.heap.len())
+	}
+}

@@ -18,7 +18,7 @@ var updateTelemetry = flag.Bool("update-telemetry", false,
 // TestSimulationTelemetryGolden pins instrumented simulations' exported
 // time series and sampled trace gauges byte for byte: the two-class
 // workload on a square wave, served by an affinity-routed fleet with
-// per-class admission budgets and scheduling weights.
+// per-class admission budgets and scheduling weights, fixed or elastic.
 func TestSimulationTelemetryGolden(t *testing.T) {
 	cases := []struct {
 		name string
@@ -26,6 +26,10 @@ func TestSimulationTelemetryGolden(t *testing.T) {
 	}{
 		{"classmix-fixed-timeseries", func(c *SimulationConfig) { c.TimeseriesSeconds = 2 }},
 		{"classmix-fixed-trace", func(c *SimulationConfig) { c.TraceSpans = -1 }},
+		{"classmix-autoscaled", func(c *SimulationConfig) {
+			c.Autoscale = &AutoscaleConfig{MinInstances: 1, MaxInstances: 4}
+			c.TraceSpans, c.TimeseriesSeconds = -1, 2
+		}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -50,6 +54,42 @@ func TestSimulationTelemetryGolden(t *testing.T) {
 				checkTelemetryGolden(t, c.name+"_gauges.txt", traceGaugeLines(t, rec))
 			}
 		})
+	}
+}
+
+// TestObserversDoNotPerturbAutoscaledRun runs the elastic class-mix fleet
+// with and without both periodic observers (the trace sampler and the
+// time-series window ticker): records, sheds, controller activity and
+// GPU-seconds must be bit-identical, and the instrumented run must drain.
+func TestObserversDoNotPerturbAutoscaledRun(t *testing.T) {
+	run := func(observed bool) *Simulation {
+		cfg := SimulationConfig{
+			GPUs: 4, MaxInputLen: 9000, RoutingPolicy: "affinity", MaxBacklogSeconds: 12,
+			ClassBacklogSeconds: map[Class]float64{ClassBatch: 4.2},
+			ClassWeights:        map[Class]float64{ClassBatch: 4},
+			Autoscale:           &AutoscaleConfig{MinInstances: 1, MaxInstances: 4},
+		}
+		if observed {
+			cfg.TraceSpans, cfg.TimeseriesSeconds = -1, 2
+		}
+		return classMixTelemetryRun(t, cfg)
+	}
+	plain, observed := run(false), run(true)
+	a, b := plain.Records(), observed.Records()
+	if len(a) != len(b) || plain.Rejected() != observed.Rejected() {
+		t.Fatalf("observed run completed %d / shed %d, plain %d / %d",
+			len(b), observed.Rejected(), len(a), plain.Rejected())
+	}
+	for i := range a {
+		if a[i].Req.ID != b[i].Req.ID || a[i].Latency() != b[i].Latency() {
+			t.Fatalf("record %d diverged under observation: %+v vs %+v", i, a[i], b[i])
+		}
+	}
+	end := a[len(a)-1].Finish
+	pc, oc := plain.Autoscaler(), observed.Autoscaler()
+	if pc.Stats() != oc.Stats() || pc.GPUSeconds(end) != oc.GPUSeconds(end) {
+		t.Fatalf("controller diverged under observation: %+v, %g GPU-s vs %+v, %g GPU-s",
+			pc.Stats(), pc.GPUSeconds(end), oc.Stats(), oc.GPUSeconds(end))
 	}
 }
 
