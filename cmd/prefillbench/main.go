@@ -42,6 +42,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -448,33 +449,16 @@ func fig11(seed int64, parallel int) error {
 }
 
 func routing(seed int64, small bool, parallel int, jsonPath, tracePath, timeseriesPath string, compare bool) error {
-	rows, stats, err := experiments.RoutingSweepParallel(seed, small, parallel)
+	err := sweepExp(func(p int) ([]experiments.RoutingSweepRow, experiments.CellStats, error) {
+		return experiments.RoutingSweepParallel(seed, small, p)
+	}, parallel, compare, jsonPath, "Routing: policy comparison, 4x PrefillOnly on L4",
+		"dataset\tpolicy\tqps\tmean JCT (s)\tp99 (s)\thit rate\tbalance\trejected",
+		func(w io.Writer, r experiments.RoutingSweepRow) {
+			fmt.Fprintf(w, "%s\t%s\t%.2f\t%.3f\t%.3f\t%.2f\t%.2f\t%d\n",
+				r.Dataset, r.Policy, r.QPS, r.MeanJCT, r.P99JCT, r.CacheHitRate, r.BalanceRatio, r.Rejected)
+		})
 	if err != nil {
 		return err
-	}
-	var cmp *serialComparison
-	if compare {
-		cmp, err = compareSerial(rows, stats, func() ([]experiments.RoutingSweepRow, experiments.CellStats, error) {
-			return experiments.RoutingSweepParallel(seed, small, 1)
-		})
-		if err != nil {
-			return err
-		}
-	}
-	w := header("Routing: policy comparison, 4x PrefillOnly on L4")
-	fmt.Fprintln(w, "dataset\tpolicy\tqps\tmean JCT (s)\tp99 (s)\thit rate\tbalance\trejected")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%s\t%.2f\t%.3f\t%.3f\t%.2f\t%.2f\t%d\n",
-			r.Dataset, r.Policy, r.QPS, r.MeanJCT, r.P99JCT, r.CacheHitRate, r.BalanceRatio, r.Rejected)
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	printExecutor(stats)
-	if jsonPath != "" {
-		if err := writeJSON(jsonPath, benchEnvelope{Rows: rows, Executor: stats, SerialComparison: cmp}); err != nil {
-			return err
-		}
 	}
 	if tracePath != "" {
 		if err := writeRoutingTrace(tracePath, seed, small); err != nil {
@@ -552,89 +536,62 @@ func writeRoutingTrace(path string, seed int64, small bool) error {
 }
 
 func autoscaleExp(seed int64, small bool, parallel int, jsonPath string, compare bool) error {
-	rows, stats, err := experiments.AutoscaleSweepParallel(seed, small, parallel)
-	if err != nil {
-		return err
-	}
-	var cmp *serialComparison
-	if compare {
-		cmp, err = compareSerial(rows, stats, func() ([]experiments.AutoscaleSweepRow, experiments.CellStats, error) {
-			return experiments.AutoscaleSweepParallel(seed, small, 1)
+	return sweepExp(func(p int) ([]experiments.AutoscaleSweepRow, experiments.CellStats, error) {
+		return experiments.AutoscaleSweepParallel(seed, small, p)
+	}, parallel, compare, jsonPath, "Autoscale: fixed fleets vs elastic pool, square-wave burst on L4",
+		"mode\tmean JCT (s)\tp99 (s)\tshed\tGPU-s\tsavings vs peak\tpool\tups\tdowns\tcold start (s)",
+		func(w io.Writer, r experiments.AutoscaleSweepRow) {
+			fmt.Fprintf(w, "%s\t%.3f\t%.3f\t%.3f\t%.1f\t%.1f%%\t[%d,%d]\t%d\t%d\t%.2f\n",
+				r.Mode, r.MeanJCT, r.P99JCT, r.ShedRate, r.GPUSeconds, 100*r.GPUSavingsVsPeak,
+				r.TroughInstances, r.PeakInstances, r.ScaleUps, r.ScaleDowns, r.ColdStartSeconds)
 		})
-		if err != nil {
-			return err
-		}
-	}
-	w := header("Autoscale: fixed fleets vs elastic pool, square-wave burst on L4")
-	fmt.Fprintln(w, "mode\tmean JCT (s)\tp99 (s)\tshed\tGPU-s\tsavings vs peak\tpool\tups\tdowns\tcold start (s)")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%.3f\t%.3f\t%.3f\t%.1f\t%.1f%%\t[%d,%d]\t%d\t%d\t%.2f\n",
-			r.Mode, r.MeanJCT, r.P99JCT, r.ShedRate, r.GPUSeconds, 100*r.GPUSavingsVsPeak,
-			r.TroughInstances, r.PeakInstances, r.ScaleUps, r.ScaleDowns, r.ColdStartSeconds)
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	printExecutor(stats)
-	if jsonPath != "" {
-		return writeJSON(jsonPath, benchEnvelope{Rows: rows, Executor: stats, SerialComparison: cmp})
-	}
-	return nil
 }
 
 func sloExp(seed int64, small bool, parallel int, jsonPath string, compare bool) error {
-	rows, stats, err := experiments.SLOSweepParallel(seed, small, parallel)
-	if err != nil {
-		return err
-	}
-	var cmp *serialComparison
-	if compare {
-		cmp, err = compareSerial(rows, stats, func() ([]experiments.SLOSweepRow, experiments.CellStats, error) {
-			return experiments.SLOSweepParallel(seed, small, 1)
+	return sweepExp(func(p int) ([]experiments.SLOSweepRow, experiments.CellStats, error) {
+		return experiments.SLOSweepParallel(seed, small, p)
+	}, parallel, compare, jsonPath, "SLO classes: class-blind vs class-aware at equal GPU-seconds, fixed fleet on L4",
+		"mode\tint mean (s)\tint p99 (s)\tint shed\tbatch mean (s)\tbatch shed\tbatch goodput (tok/s)\tGPU-s\tcompleted",
+		func(w io.Writer, r experiments.SLOSweepRow) {
+			fmt.Fprintf(w, "%s\t%.3f\t%.3f\t%d/%d\t%.3f\t%d/%d\t%.0f\t%.1f\t%d\n",
+				r.Mode, r.InteractiveMeanJCT, r.InteractiveP99JCT, r.InteractiveShed, r.InteractiveOffered,
+				r.BatchMeanJCT, r.BatchShed, r.BatchOffered, r.BatchGoodputTPS, r.GPUSeconds, r.Completed)
 		})
-		if err != nil {
-			return err
-		}
-	}
-	w := header("SLO classes: class-blind vs class-aware at equal GPU-seconds, fixed fleet on L4")
-	fmt.Fprintln(w, "mode\tint mean (s)\tint p99 (s)\tint shed\tbatch mean (s)\tbatch shed\tbatch goodput (tok/s)\tGPU-s\tcompleted")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%.3f\t%.3f\t%d/%d\t%.3f\t%d/%d\t%.0f\t%.1f\t%d\n",
-			r.Mode, r.InteractiveMeanJCT, r.InteractiveP99JCT, r.InteractiveShed, r.InteractiveOffered,
-			r.BatchMeanJCT, r.BatchShed, r.BatchOffered, r.BatchGoodputTPS, r.GPUSeconds, r.Completed)
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	printExecutor(stats)
-	if jsonPath != "" {
-		return writeJSON(jsonPath, benchEnvelope{Rows: rows, Executor: stats, SerialComparison: cmp})
-	}
-	return nil
 }
 
 func chaosExp(seed int64, small bool, parallel int, jsonPath string, compare bool) error {
-	rows, stats, err := experiments.ChaosSweepParallel(seed, small, parallel)
+	return sweepExp(func(p int) ([]experiments.ChaosSweepRow, experiments.CellStats, error) {
+		return experiments.ChaosSweepParallel(seed, small, p)
+	}, parallel, compare, jsonPath, "Chaos: fault injection and recovery, elastic pool on L4",
+		"mode\tmean JCT (s)\tp99 (s)\tshed\tfaults\torphans (rerouted/shed)\trecoveries\tmean recovery (s)\tups\tGPU-s\tp99 degr",
+		func(w io.Writer, r experiments.ChaosSweepRow) {
+			fmt.Fprintf(w, "%s\t%.3f\t%.3f\t%.3f\t%d\t%d (%d/%d)\t%d\t%.1f\t%d\t%.1f\t%+.0f%%\n",
+				r.Mode, r.MeanJCT, r.P99JCT, r.ShedRate, r.Faults,
+				r.Orphaned, r.OrphansRerouted, r.OrphansShed,
+				r.Recoveries, r.MeanRecoverySeconds, r.ScaleUps, r.GPUSeconds,
+				100*r.P99DegradationVsBaseline)
+		})
+}
+
+// sweepExp runs a sweep at the requested parallelism (and, under
+// -compare-serial, again serially), prints its table and executor line,
+// and writes the JSON envelope when asked.
+func sweepExp[T any](run func(parallel int) ([]T, experiments.CellStats, error), parallel int, compare bool,
+	jsonPath, title, columns string, line func(io.Writer, T)) error {
+	rows, stats, err := run(parallel)
 	if err != nil {
 		return err
 	}
 	var cmp *serialComparison
 	if compare {
-		cmp, err = compareSerial(rows, stats, func() ([]experiments.ChaosSweepRow, experiments.CellStats, error) {
-			return experiments.ChaosSweepParallel(seed, small, 1)
-		})
-		if err != nil {
+		if cmp, err = compareSerial(rows, stats, func() ([]T, experiments.CellStats, error) { return run(1) }); err != nil {
 			return err
 		}
 	}
-	w := header("Chaos: fault injection and recovery, elastic pool on L4")
-	fmt.Fprintln(w, "mode\tmean JCT (s)\tp99 (s)\tshed\tfaults\torphans (rerouted/shed)\trecoveries\tmean recovery (s)\tups\tGPU-s\tp99 degr")
+	w := header(title)
+	fmt.Fprintln(w, columns)
 	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%.3f\t%.3f\t%.3f\t%d\t%d (%d/%d)\t%d\t%.1f\t%d\t%.1f\t%+.0f%%\n",
-			r.Mode, r.MeanJCT, r.P99JCT, r.ShedRate, r.Faults,
-			r.Orphaned, r.OrphansRerouted, r.OrphansShed,
-			r.Recoveries, r.MeanRecoverySeconds, r.ScaleUps, r.GPUSeconds,
-			100*r.P99DegradationVsBaseline)
+		line(w, r)
 	}
 	if err := w.Flush(); err != nil {
 		return err

@@ -11,8 +11,8 @@ import (
 //  1. In the scheduling hot-path packages (cluster, engine, sched),
 //     passing a function literal or a bound method value to any
 //     sim-package scheduling call allocates a closure per event — the
-//     PR 5 regression vector that the AtFunc/AfterFunc fast path
-//     (package-level callback + payload argument) exists to avoid.
+//     regression the AtFunc/AfterFunc fast path (package-level
+//     callback + payload argument) exists to avoid.
 //  2. In the whole deterministic core, importing container/heap is
 //     flagged outside HeapAllowedPackages: its interface-typed Push/Pop
 //     box every element, which is why both the sim event heap and the

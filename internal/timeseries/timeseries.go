@@ -51,8 +51,8 @@ const (
 var DefSLOTargetSeconds = [sched.NumClasses]float64{2.5, 25}
 
 // Gauges is one point-in-time sample of fleet state, taken as a window
-// closes. The Sample callback fills it from whatever sources the caller
-// wires (router instance infos, cache manager, autoscale controller).
+// closes by the callback SetSample installs (internal/cluster's
+// Fleet.Gauges).
 type Gauges struct {
 	// QueuedRequests is the fleet-wide queue depth (admitted, unfinished).
 	QueuedRequests int
@@ -83,8 +83,6 @@ type Config struct {
 	RollingWindows int
 	// MaxWindows bounds retained rows; excess drops oldest-first.
 	MaxWindows int
-	// Sample fills gauges at window close. Nil leaves gauges zero.
-	Sample func(now float64) Gauges
 }
 
 // classAccum is one class's counters within the current window.
@@ -184,7 +182,6 @@ func New(cfg Config) *Collector {
 		objective: cfg.SLOObjective,
 		targets:   cfg.SLOTargetSeconds,
 		maxRows:   cfg.MaxWindows,
-		sample:    cfg.Sample,
 	}
 	if c.interval <= 0 {
 		c.interval = DefIntervalSeconds
@@ -212,8 +209,8 @@ func New(cfg Config) *Collector {
 // Enabled reports whether the collector is live (non-nil).
 func (c *Collector) Enabled() bool { return c != nil }
 
-// SetSample installs (or replaces) the gauge sampler — for callers that
-// build the collector before the fleet it observes exists.
+// SetSample installs (or replaces) the gauge sampler that fills each
+// window's gauges at close; without one they stay zero.
 func (c *Collector) SetSample(fn func(now float64) Gauges) {
 	if c == nil {
 		return
