@@ -19,8 +19,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/hw"
-	"repro/internal/model"
 	"repro/internal/ringbuf"
 	"repro/internal/router"
 	"repro/internal/sched"
@@ -86,14 +84,11 @@ func (k EngineKind) Instances(gpus int) (int, error) {
 
 // Spec describes a fleet.
 type Spec struct {
-	// Engine is the instance type.
-	Engine EngineKind
-	// Model, GPU, ProfileMaxLen and HostCacheBytes configure every
-	// instance (see engine.Config).
-	Model          *model.Config
-	GPU            *hw.GPU
-	ProfileMaxLen  int
-	HostCacheBytes int64
+	// Kind is the instance type.
+	Kind EngineKind
+	// Config configures every instance; the fleet owns its Sim and
+	// OnComplete. Its Tracer receives every tier's spans.
+	Config engine.Config
 	// Options tunes PrefillOnly instances (λ, class weights); the
 	// baselines ignore it.
 	Options core.Options
@@ -108,9 +103,8 @@ type Spec struct {
 	Autoscale *autoscale.Config
 	// Chaos injects faults (requires Router). Run starts the injector.
 	Chaos chaos.Config
-	// Tracer receives every tier's spans; with TraceSampleSeconds > 0 the
-	// fleet samples its gauges into it on sim ticks of that interval.
-	Tracer             *trace.Recorder
+	// TraceSampleSeconds > 0 samples the fleet's gauges into the tracer
+	// on sim ticks of that interval.
 	TraceSampleSeconds float64
 	// Timeseries, when set, collects the fleet's windowed series with a
 	// window ticker on the fleet's sim.
@@ -153,18 +147,15 @@ func New(spec Spec) (*Fleet, error) {
 	if spec.Router == nil && (spec.Autoscale != nil || spec.Chaos.Enabled()) {
 		return nil, fmt.Errorf("cluster: autoscaling and chaos require a router")
 	}
+	if spec.Config.Sim != nil || spec.Config.OnComplete != nil {
+		return nil, fmt.Errorf("cluster: Sim and OnComplete are owned by the fleet")
+	}
 	f := &Fleet{spec: spec, sim: &sim.Sim{}}
 	f.arrive = f.arrival
-	f.ecfg = engine.Config{
-		Model:          spec.Model,
-		GPU:            spec.GPU,
-		Sim:            f.sim,
-		ProfileMaxLen:  spec.ProfileMaxLen,
-		HostCacheBytes: spec.HostCacheBytes,
-		OnComplete:     f.complete,
-		Tracer:         spec.Tracer,
-	}
-	if spec.Tracer != nil && spec.TraceSampleSeconds > 0 {
+	f.ecfg = spec.Config
+	f.ecfg.Sim, f.ecfg.OnComplete = f.sim, f.complete
+	tracer := spec.Config.Tracer
+	if tracer != nil && spec.TraceSampleSeconds > 0 {
 		f.sampler = trace.NewSampler(f.sim, spec.TraceSampleSeconds, f.TraceGauges)
 	}
 	if spec.Timeseries != nil {
@@ -184,7 +175,7 @@ func New(spec Spec) (*Fleet, error) {
 	}
 	rcfg := *spec.Router
 	if rcfg.Tracer == nil {
-		rcfg.Tracer = spec.Tracer
+		rcfg.Tracer = tracer
 	}
 	rt, err := router.New(rcfg, f.engines...)
 	if err != nil {
@@ -194,13 +185,13 @@ func New(spec Spec) (*Fleet, error) {
 	if spec.Autoscale != nil {
 		acfg := *spec.Autoscale
 		if acfg.Model == nil {
-			acfg.Model = spec.Model
+			acfg.Model = spec.Config.Model
 		}
 		if acfg.GPU == nil {
-			acfg.GPU = spec.GPU
+			acfg.GPU = spec.Config.GPU
 		}
 		if acfg.Tracer == nil {
-			acfg.Tracer = spec.Tracer
+			acfg.Tracer = tracer
 		}
 		ctl, err := autoscale.New(acfg, f.sim, rt, f.build)
 		if err != nil {
@@ -218,7 +209,7 @@ func New(spec Spec) (*Fleet, error) {
 func (f *Fleet) build() (engine.Engine, error) {
 	var e engine.Engine
 	var err error
-	switch f.spec.Engine {
+	switch f.spec.Kind {
 	case PrefillOnly:
 		e, err = core.New(f.ecfg, f.spec.Options)
 	case PagedAttention:
@@ -230,7 +221,7 @@ func (f *Fleet) build() (engine.Engine, error) {
 	case TensorParallel:
 		e, err = engine.NewTensorParallel(f.ecfg)
 	default:
-		err = fmt.Errorf("cluster: unknown engine kind %v", f.spec.Engine)
+		err = fmt.Errorf("cluster: unknown engine kind %v", f.spec.Kind)
 	}
 	if err != nil {
 		return nil, err
@@ -242,7 +233,7 @@ func (f *Fleet) build() (engine.Engine, error) {
 func (f *Fleet) newInjector(cfg chaos.Config) *chaos.Injector {
 	return chaos.New(cfg, f.sim, f.rt, chaos.Options{
 		Controller: f.ctl,
-		Tracer:     f.spec.Tracer,
+		Tracer:     f.ecfg.Tracer,
 		Timeseries: f.ts,
 		OnShed:     f.shed,
 	})
@@ -419,7 +410,7 @@ func (f *Fleet) seriesGauges(now float64) timeseries.Gauges { return f.Gauges(no
 // TraceGauges samples Gauges into the flight recorder: per-instance
 // loads, pool size and pending cold starts, and cache residency.
 func (f *Fleet) TraceGauges(now float64) {
-	rec := f.spec.Tracer
+	rec := f.ecfg.Tracer
 	g := f.Gauges(now)
 	for _, info := range g.Loads {
 		rec.LoadGauge(now, info.ID, info.Load.QueuedRequests, info.Load.BacklogSeconds)

@@ -3,6 +3,7 @@ package cluster
 import (
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/hw"
 	"repro/internal/model"
 	"repro/internal/sched"
@@ -10,8 +11,8 @@ import (
 )
 
 func TestRoutingStickyAndRoundRobin(t *testing.T) {
-	f, err := New(Spec{Engine: PagedAttention, Model: model.Llama31_8B(), GPU: hw.L4(),
-		ProfileMaxLen: 2000, Instances: 2})
+	f, err := New(Spec{Kind: PagedAttention, Instances: 2,
+		Config: engine.Config{Model: model.Llama31_8B(), GPU: hw.L4(), ProfileMaxLen: 2000}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,8 +42,8 @@ func TestRoutingStickyAndRoundRobin(t *testing.T) {
 }
 
 func TestSubmitRoutesByUser(t *testing.T) {
-	f, err := New(Spec{Engine: PagedAttention, Model: model.Llama31_8B(), GPU: hw.L4(),
-		ProfileMaxLen: 2000, Instances: 2})
+	f, err := New(Spec{Kind: PagedAttention, Instances: 2,
+		Config: engine.Config{Model: model.Llama31_8B(), GPU: hw.L4(), ProfileMaxLen: 2000}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,14 +142,15 @@ func TestOrderRingBoundedUnderChurnAtCap(t *testing.T) {
 }
 
 func TestNewRejectsEmptyAndNil(t *testing.T) {
-	base := Spec{Engine: PagedAttention, Model: model.Llama31_8B(), GPU: hw.L4(), ProfileMaxLen: 2000, Instances: 1}
+	base := Spec{Kind: PagedAttention, Instances: 1,
+		Config: engine.Config{Model: model.Llama31_8B(), GPU: hw.L4(), ProfileMaxLen: 2000}}
 	empty := base
 	empty.Instances = 0
 	if _, err := New(empty); err == nil {
 		t.Error("empty fleet accepted")
 	}
 	noModel := base
-	noModel.Model = nil
+	noModel.Config.Model = nil
 	if _, err := New(noModel); err == nil {
 		t.Error("nil model accepted")
 	}

@@ -20,11 +20,11 @@ import (
 // scenario's model and GPU, profiled to the dataset's longest request
 // rounded up to the next thousand tokens.
 func scenarioSpec(sc Scenario, ds *workload.Dataset) cluster.Spec {
-	return cluster.Spec{
+	return cluster.Spec{Config: engine.Config{
 		Model:         sc.Model,
 		GPU:           sc.GPU,
 		ProfileMaxLen: (ds.MaxLen/1000 + 1) * 1000,
-	}
+	}}
 }
 
 // arrive schedules a dataset onto the fleet: Poisson arrivals at qps > 0,
@@ -188,7 +188,7 @@ func Run(rc RunConfig) (*RunResult, error) {
 		gpus = 2
 	}
 	spec := scenarioSpec(rc.Scenario, rc.Dataset)
-	spec.Engine = rc.Kind
+	spec.Kind = rc.Kind
 	spec.Options.Lambda = rc.Lambda
 	var err error
 	if spec.Instances, err = rc.Kind.Instances(gpus); err != nil {

@@ -151,7 +151,7 @@ func RoutingRunPolicy(rc RoutingRunConfig, pol router.Policy) (*RoutingRunResult
 	spec.Options.Lambda = rc.Lambda
 	spec.Instances = instances
 	spec.Router = &router.Config{Policy: pol, MaxBacklogSeconds: rc.MaxBacklogSeconds}
-	spec.Tracer = rc.Tracer
+	spec.Config.Tracer = rc.Tracer
 	spec.TraceSampleSeconds = 0.5
 	spec.Timeseries = rc.Timeseries
 	f, err := cluster.New(spec)

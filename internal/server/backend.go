@@ -126,9 +126,6 @@ func NewAutoscaledBackend(cfg engine.Config, opts core.Options, speedup float64,
 // newBackend assembles the fleet behind every constructor: without rcfg
 // the fleet's first-appearance frontend serves its one instance.
 func newBackend(cfg engine.Config, opts core.Options, speedup float64, instances int, rcfg *router.Config, acfg *autoscale.Config) (*Backend, error) {
-	if cfg.Sim != nil || cfg.OnComplete != nil {
-		return nil, fmt.Errorf("server: Sim and OnComplete are owned by the backend")
-	}
 	if speedup <= 0 {
 		speedup = 1000
 	}
@@ -147,17 +144,13 @@ func newBackend(cfg engine.Config, opts core.Options, speedup float64, instances
 	// One recorder serves every tier: engine lifecycle spans, router
 	// decisions and autoscale pool events share the timeline.
 	f, err := cluster.New(cluster.Spec{
-		Model:          cfg.Model,
-		GPU:            cfg.GPU,
-		ProfileMaxLen:  cfg.ProfileMaxLen,
-		HostCacheBytes: cfg.HostCacheBytes,
-		Options:        opts,
-		Instances:      instances,
-		Router:         rcfg,
-		Autoscale:      acfg,
-		Tracer:         cfg.Tracer,
-		OnComplete:     b.onComplete,
-		OnShed:         b.onOrphanShed,
+		Config:     cfg,
+		Options:    opts,
+		Instances:  instances,
+		Router:     rcfg,
+		Autoscale:  acfg,
+		OnComplete: b.onComplete,
+		OnShed:     b.onOrphanShed,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("server: %w", err)

@@ -6,6 +6,7 @@ import (
 	"repro/internal/autoscale"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/router"
 	"repro/internal/sched"
 	"repro/internal/timeseries"
@@ -144,13 +145,15 @@ func NewSimulation(cfg SimulationConfig) (*Simulation, error) {
 		return nil, fmt.Errorf("prefillonly: %w", err)
 	}
 	spec := cluster.Spec{
-		Engine:         kind,
-		Model:          cfg.Model,
-		GPU:            cfg.GPU,
-		ProfileMaxLen:  cfg.MaxInputLen,
-		HostCacheBytes: cfg.HostCacheBytes,
-		Options:        core.Options{Lambda: cfg.Lambda, ClassWeights: cfg.ClassWeights},
-		Instances:      instances,
+		Kind: kind,
+		Config: engine.Config{
+			Model:          cfg.Model,
+			GPU:            cfg.GPU,
+			ProfileMaxLen:  cfg.MaxInputLen,
+			HostCacheBytes: cfg.HostCacheBytes,
+		},
+		Options:   core.Options{Lambda: cfg.Lambda, ClassWeights: cfg.ClassWeights},
+		Instances: instances,
 	}
 	// Validate routing config before the engines' expensive profile runs.
 	if cfg.RoutingPolicy != "" {
@@ -187,7 +190,7 @@ func NewSimulation(cfg SimulationConfig) (*Simulation, error) {
 	s := &Simulation{tok: tokenizer.New()}
 	if cfg.TraceSpans != 0 {
 		s.rec = trace.New(cfg.TraceSpans)
-		spec.Tracer = s.rec
+		spec.Config.Tracer = s.rec
 		spec.TraceSampleSeconds = cfg.TraceSampleSeconds
 		if spec.TraceSampleSeconds <= 0 {
 			spec.TraceSampleSeconds = 0.5
