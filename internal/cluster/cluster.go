@@ -1,10 +1,11 @@
 // Package cluster is the fleet: the one place a serving cluster is
 // assembled and driven. From a Spec it builds the sim, every engine
-// instance (through one factory), the optional router, autoscaler and
-// chaos injector, and one completion chain; it offers one Submit path,
-// closure-free arrival injection, one gauge snapshot for every telemetry
-// surface, and an accounting check at the end of every run. Simulations,
-// the experiment sweeps and the HTTP server are thin callers.
+// instance (through one factory), the optional router and autoscaler,
+// and one completion chain; EnableChaos adds a fault injector. It offers
+// one Submit path, closure-free arrival injection, one gauge snapshot
+// for every telemetry surface, and an accounting check at the end of
+// every run. Simulations, the experiment sweeps and the HTTP server are
+// thin callers.
 //
 // Without a router config the fleet keeps the paper's static frontend
 // (§7.1): every request from one user goes to the same instance, and
@@ -101,8 +102,6 @@ type Spec struct {
 	// Autoscale makes the pool elastic (requires Router). Unset Model,
 	// GPU and Tracer take the fleet's.
 	Autoscale *autoscale.Config
-	// Chaos injects faults (requires Router). Run starts the injector.
-	Chaos chaos.Config
 	// TraceSampleSeconds > 0 samples the fleet's gauges into the tracer
 	// on sim ticks of that interval.
 	TraceSampleSeconds float64
@@ -138,14 +137,13 @@ type Fleet struct {
 }
 
 // New assembles a fleet: it builds the initial instances (each runs its
-// profile run), then the router, autoscaler and injector the spec asks
-// for.
+// profile run), then the router and autoscaler the spec asks for.
 func New(spec Spec) (*Fleet, error) {
 	if spec.Instances <= 0 {
 		return nil, fmt.Errorf("cluster: need at least one instance, got %d", spec.Instances)
 	}
-	if spec.Router == nil && (spec.Autoscale != nil || spec.Chaos.Enabled()) {
-		return nil, fmt.Errorf("cluster: autoscaling and chaos require a router")
+	if spec.Router == nil && spec.Autoscale != nil {
+		return nil, fmt.Errorf("cluster: autoscaling requires a router")
 	}
 	if spec.Config.Sim != nil || spec.Config.OnComplete != nil {
 		return nil, fmt.Errorf("cluster: Sim and OnComplete are owned by the fleet")
@@ -200,7 +198,6 @@ func New(spec Spec) (*Fleet, error) {
 		f.ctl = ctl
 		ctl.Start()
 	}
-	f.inj = f.newInjector(spec.Chaos)
 	return f, nil
 }
 
@@ -230,18 +227,9 @@ func (f *Fleet) build() (engine.Engine, error) {
 	return e, nil
 }
 
-func (f *Fleet) newInjector(cfg chaos.Config) *chaos.Injector {
-	return chaos.New(cfg, f.sim, f.rt, chaos.Options{
-		Controller: f.ctl,
-		Tracer:     f.ecfg.Tracer,
-		Timeseries: f.ts,
-		OnShed:     f.shed,
-	})
-}
-
-// EnableChaos arms and starts a fault injector on a running fleet (the
-// server's path; batch runs set Spec.Chaos). It captures the collector
-// installed so far.
+// EnableChaos arms and starts a fault injector on a routed fleet. It
+// captures the collector installed so far; a batch run calls it after
+// scheduling its arrivals, so a horizon-bound stream starts from t=0.
 func (f *Fleet) EnableChaos(cfg chaos.Config) error {
 	if f.rt == nil {
 		return fmt.Errorf("cluster: chaos requires a router")
@@ -249,7 +237,12 @@ func (f *Fleet) EnableChaos(cfg chaos.Config) error {
 	if f.inj != nil {
 		return fmt.Errorf("cluster: chaos already enabled")
 	}
-	f.inj = f.newInjector(cfg)
+	f.inj = chaos.New(cfg, f.sim, f.rt, chaos.Options{
+		Controller: f.ctl,
+		Tracer:     f.ecfg.Tracer,
+		Timeseries: f.ts,
+		OnShed:     f.shed,
+	})
 	f.inj.Start()
 	return nil
 }
@@ -344,11 +337,9 @@ func (f *Fleet) Arrive(arrivals []workload.Arrival) {
 	}
 }
 
-// Run starts the injector, drains the sim and returns the end time. It
-// fails on a routing error, a failed scale-up, or a request the fleet
-// lost.
+// Run drains the sim and returns the end time. It fails on a routing
+// error, a failed scale-up, or a request the fleet lost.
 func (f *Fleet) Run() (end float64, err error) {
-	f.inj.Start()
 	end = f.sim.Run()
 	if f.err != nil {
 		return end, f.err
@@ -408,12 +399,18 @@ func (f *Fleet) Gauges(now float64) Gauges {
 func (f *Fleet) seriesGauges(now float64) timeseries.Gauges { return f.Gauges(now).Gauges }
 
 // TraceGauges samples Gauges into the flight recorder: per-instance
-// loads, pool size and pending cold starts, and cache residency.
+// loads, pool size and pending cold starts, and cache residency. Without
+// a router only a single instance has a load track (the fleet's
+// in-flight count); several unrouted instances have no per-instance
+// split.
 func (f *Fleet) TraceGauges(now float64) {
 	rec := f.ecfg.Tracer
 	g := f.Gauges(now)
 	for _, info := range g.Loads {
 		rec.LoadGauge(now, info.ID, info.Load.QueuedRequests, info.Load.BacklogSeconds)
+	}
+	if g.Loads == nil && len(f.engines) == 1 {
+		rec.LoadGauge(now, 0, g.QueuedRequests, 0)
 	}
 	rec.PoolGauge(now, g.PoolSize, g.PendingInstances)
 	rec.SampleCaches(now)

@@ -3,6 +3,7 @@ package cluster
 import (
 	"testing"
 
+	"repro/internal/chaos"
 	"repro/internal/engine"
 	"repro/internal/hw"
 	"repro/internal/model"
@@ -154,9 +155,11 @@ func TestNewRejectsEmptyAndNil(t *testing.T) {
 	if _, err := New(noModel); err == nil {
 		t.Error("nil model accepted")
 	}
-	unrouted := base
-	unrouted.Chaos.CrashRate = 1
-	if _, err := New(unrouted); err == nil {
+	unrouted, err := New(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := unrouted.EnableChaos(chaos.Config{CrashRate: 1}); err == nil {
 		t.Error("chaos without a router accepted")
 	}
 	if _, err := TensorParallel.Instances(3); err == nil {

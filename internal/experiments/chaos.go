@@ -103,17 +103,20 @@ func ChaosRun(rc ChaosRunConfig) (*ChaosRunResult, error) {
 	spec.Instances = rc.MinInstances
 	spec.Router = &router.Config{Policy: router.AffinityLoad{}, MaxBacklogSeconds: rc.MaxBacklogSeconds}
 	spec.Autoscale = &autoscale.Config{MinInstances: rc.MinInstances, MaxInstances: rc.MaxInstances}
-	// Bound fault injection to the arrival window so the run drains:
-	// faults land while traffic flows, then the streams stop for good.
-	spec.Chaos = rc.Chaos
-	if spec.Chaos.HorizonSeconds <= 0 && len(arrivals) > 0 {
-		spec.Chaos.HorizonSeconds = arrivals[len(arrivals)-1].Time
-	}
 	f, err := cluster.New(spec)
 	if err != nil {
 		return nil, err
 	}
 	f.Arrive(arrivals)
+	// Bound fault injection to the arrival window so the run drains:
+	// faults land while traffic flows, then the streams stop for good.
+	ccfg := rc.Chaos
+	if ccfg.HorizonSeconds <= 0 && len(arrivals) > 0 {
+		ccfg.HorizonSeconds = arrivals[len(arrivals)-1].Time
+	}
+	if err := f.EnableChaos(ccfg); err != nil {
+		return nil, err
+	}
 	end, err := f.Run()
 	if err != nil {
 		return nil, err

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -193,6 +194,30 @@ func TestTraceEndpoint(t *testing.T) {
 	if len(file.TraceEvents) == 0 {
 		t.Fatal("trace has no events after a served request")
 	}
+}
+
+// TestTraceSingleEngineQueueDepth checks that a traced single-engine
+// backend's clock loop samples a queue-depth track for its one instance.
+func TestTraceSingleEngineQueueDepth(t *testing.T) {
+	rec := trace.New(0)
+	b, err := NewBackend(engine.Config{
+		Model:         model.Llama31_8B(),
+		GPU:           hw.L4(),
+		ProfileMaxLen: 4000,
+		Tracer:        rec,
+	}, core.Options{}, 1e7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(b.Close)
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+		for _, sp := range rec.Spans() {
+			if sp.Kind == trace.KindLoadGauge && sp.Inst == 0 {
+				return
+			}
+		}
+	}
+	t.Fatal("no load gauge for instance 0 in the single-engine trace")
 }
 
 // TestShedResponseCarriesReason pins the structured 429 body: clients get
