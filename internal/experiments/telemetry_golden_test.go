@@ -2,59 +2,10 @@ package experiments
 
 import (
 	"bytes"
-	"flag"
-	"fmt"
-	"os"
-	"path/filepath"
-	"strconv"
 	"testing"
 
-	"repro/internal/trace"
+	"repro/internal/telemetrytest"
 )
-
-var updateTelemetry = flag.Bool("update-telemetry", false,
-	"rewrite the telemetry goldens under testdata/telemetry")
-
-// checkGolden compares got with testdata/telemetry/name, or rewrites the
-// file under -update-telemetry.
-func checkGolden(t *testing.T, name string, got []byte) {
-	t.Helper()
-	path := filepath.Join("testdata", "telemetry", name)
-	if *updateTelemetry {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("%s differs from the committed golden (rerun with -update-telemetry only for an intended change):\ngot %d bytes, want %d", path, len(got), len(want))
-	}
-}
-
-// gaugeLines renders the recorder's sampled gauge spans (load, cache and
-// pool) one per line with exact float formatting.
-func gaugeLines(t *testing.T, rec *trace.Recorder) []byte {
-	t.Helper()
-	if rec.Dropped() != 0 {
-		t.Fatalf("flight recorder dropped %d spans; the golden needs the whole run", rec.Dropped())
-	}
-	g := func(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
-	var buf bytes.Buffer
-	for _, s := range rec.Spans() {
-		switch s.Kind {
-		case trace.KindLoadGauge, trace.KindCacheGauge, trace.KindPoolGauge:
-			fmt.Fprintf(&buf, "%s inst=%d t=%s a=%s b=%s\n", s.Kind, s.Inst, g(s.Start), g(s.A), g(s.B))
-		}
-	}
-	return buf.Bytes()
-}
 
 // telemetryRoutingConfig is the instrumented -small routing run.
 func telemetryRoutingConfig(t *testing.T) RoutingRunConfig {
@@ -79,13 +30,13 @@ func TestTelemetryGolden(t *testing.T) {
 		if err := ts.WriteJSON(&buf); err != nil {
 			t.Fatal(err)
 		}
-		checkGolden(t, "routing_timeseries.json", buf.Bytes())
+		telemetrytest.Check(t, "routing_timeseries.json", buf.Bytes())
 	})
 	t.Run("routing-trace-gauges", func(t *testing.T) {
 		_, rec, err := TracedRoutingRun(telemetryRoutingConfig(t), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkGolden(t, "routing_trace_gauges.txt", gaugeLines(t, rec))
+		telemetrytest.Check(t, "routing_trace_gauges.txt", telemetrytest.GaugeLines(t, rec))
 	})
 }

@@ -2,18 +2,10 @@ package prefillonly
 
 import (
 	"bytes"
-	"flag"
-	"fmt"
-	"os"
-	"path/filepath"
-	"strconv"
 	"testing"
 
-	"repro/internal/trace"
+	"repro/internal/telemetrytest"
 )
-
-var updateTelemetry = flag.Bool("update-telemetry", false,
-	"rewrite the telemetry goldens under testdata/telemetry")
 
 // TestSimulationTelemetryGolden pins instrumented simulations' exported
 // time series and sampled trace gauges byte for byte: the two-class
@@ -48,10 +40,10 @@ func TestSimulationTelemetryGolden(t *testing.T) {
 				if err := ts.WriteJSON(&buf); err != nil {
 					t.Fatal(err)
 				}
-				checkTelemetryGolden(t, c.name+".json", buf.Bytes())
+				telemetrytest.Check(t, c.name+".json", buf.Bytes())
 			}
 			if rec := s.Trace(); rec != nil {
-				checkTelemetryGolden(t, c.name+"_gauges.txt", traceGaugeLines(t, rec))
+				telemetrytest.Check(t, c.name+"_gauges.txt", telemetrytest.GaugeLines(t, rec))
 			}
 		})
 	}
@@ -122,45 +114,4 @@ func classMixTelemetryRun(t *testing.T, cfg SimulationConfig) *Simulation {
 		t.Fatal("nothing completed")
 	}
 	return s
-}
-
-// traceGaugeLines renders the recorder's sampled gauge spans (load,
-// cache and pool) one per line with exact float formatting.
-func traceGaugeLines(t *testing.T, rec *TraceRecorder) []byte {
-	t.Helper()
-	if rec.Dropped() != 0 {
-		t.Fatalf("flight recorder dropped %d spans; the golden needs the whole run", rec.Dropped())
-	}
-	g := func(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
-	var buf bytes.Buffer
-	for _, sp := range rec.Spans() {
-		switch sp.Kind {
-		case trace.KindLoadGauge, trace.KindCacheGauge, trace.KindPoolGauge:
-			fmt.Fprintf(&buf, "%s inst=%d t=%s a=%s b=%s\n", sp.Kind, sp.Inst, g(sp.Start), g(sp.A), g(sp.B))
-		}
-	}
-	return buf.Bytes()
-}
-
-// checkTelemetryGolden compares got with testdata/telemetry/name, or
-// rewrites the file under -update-telemetry.
-func checkTelemetryGolden(t *testing.T, name string, got []byte) {
-	t.Helper()
-	path := filepath.Join("testdata", "telemetry", name)
-	if *updateTelemetry {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("%s differs from the committed golden (rerun with -update-telemetry only for an intended change):\ngot %d bytes, want %d", path, len(got), len(want))
-	}
 }
